@@ -1,19 +1,25 @@
 """Block DAG storage and consensus bookkeeping.
 
-A ChainStore is one node's view of every block it has accepted: a tree of
-hash-pointer records rooted at genesis, with cumulative work per block and
-a selected tip.  Tip selection is most-cumulative-work with a first-seen
-tie break, so replaying the same insertion sequence always reproduces the
-same tip at every step.
+A ChainStore holds a tree of hash-pointer records rooted at genesis, with
+cumulative work per block and a selected tip.  Sealing makes every block
+immutable, so its height, cumulative work and median-past-time are fixed
+once it is stored; the simulator keeps one store for the whole network and
+each node's chain is only a choice of tip inside it.  The tip rule
+(`select_tip`) is most-cumulative-work with a first-seen tie break, so
+replaying the same insertion sequence always reproduces the same tip at
+every step.
 
 Also provided: the timestamp acceptance rules (median-past-time and the
-two-hour future bound), the periodic difficulty retarget rule, and the CSV
-chain-dump format.
+two-hour future bound), the periodic difficulty retarget rule, the
+chain-dump rows, and the one CSV/JSON table writer every export uses.
 """
 
 import csv
+import json
+import math
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 GENESIS_ID = 0
 GENESIS_MINER = -1
@@ -58,6 +64,23 @@ def make_genesis(difficulty: float, timestamp: int = 0) -> Block:
     return Block(GENESIS_ID, None, 0, GENESIS_MINER, timestamp, difficulty, 0.0)
 
 
+def finite_number(value, name: str) -> float:
+    """`value` as a float; ValueError unless it is finite (JSON admits
+    NaN and Infinity literals)."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return x
+
+
+def whole_number(value, name: str) -> int:
+    """`value` as an int; ValueError unless it is integral (2.0 passes,
+    2.5, NaN and Infinity do not)."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass
 class ConsensusRules:
     """Tunable consensus constants.
@@ -77,6 +100,10 @@ class ConsensusRules:
     retarget_clamp: float = 4.0
 
     def __post_init__(self):
+        for name in ("max_future_offset", "target_spacing", "retarget_clamp"):
+            setattr(self, name, finite_number(getattr(self, name), name))
+        for name in ("mpt_window", "retarget_interval"):
+            setattr(self, name, whole_number(getattr(self, name), name))
         if self.max_future_offset <= 0:
             raise ValueError("max_future_offset must be positive")
         if self.mpt_window <= 0:
@@ -115,7 +142,7 @@ class TipChange:
 
 
 class ChainStore:
-    """Per-node view of all known blocks plus the selected tip.
+    """All known blocks plus the selected tip.
 
     Insertion is parents-first: an orphan raises MissingParent and it is
     the caller's job to buffer it until the parent shows up (the simulator
@@ -128,9 +155,10 @@ class ChainStore:
             raise ChainError("genesis must have height 0 and no parent")
         self.blocks: dict[int, Block] = {genesis.id: genesis}
         self.work: dict[int, float] = {genesis.id: genesis.difficulty}
-        self.first_seen: dict[int, int] = {genesis.id: 0}
         self.tip: int = genesis.id
-        self._arrivals = 1
+        # median_past_time results by window, then parent id: a block's
+        # ancestors never change, so neither does its median
+        self._mpt: defaultdict[int, dict[int, int]] = defaultdict(dict)
 
     def __contains__(self, block_id: int) -> bool:
         return block_id in self.blocks
@@ -141,15 +169,8 @@ class ChainStore:
         except KeyError:
             raise UnknownBlock(f"unknown block id {block_id}") from None
 
-    def tip_block(self) -> Block:
-        return self.blocks[self.tip]
-
     def insert(self, block: Block) -> TipChange:
-        """Store a block, recompute cumulative work, re-select the tip.
-
-        The tip moves only when the newcomer has strictly more work than
-        the current tip; at equal work the earlier-seen block wins.
-        """
+        """Store a block, record its cumulative work, re-select the tip."""
         if block.id in self.blocks:
             raise DuplicateBlock(f"block id {block.id} already present")
         if block.parent not in self.blocks:
@@ -164,17 +185,9 @@ class ChainStore:
 
         self.blocks[block.id] = block
         self.work[block.id] = self.work[block.parent] + block.difficulty
-        self.first_seen[block.id] = self._arrivals
-        self._arrivals += 1
-
-        old_tip = self.tip
-        depth = 0
-        if self.work[block.id] > self.work[old_tip]:
-            if block.parent != old_tip:
-                fork = self.fork_point(old_tip, block.id)
-                depth = self.blocks[old_tip].height - self.blocks[fork].height
-            self.tip = block.id
-        return TipChange(old_tip, self.tip, depth)
+        tc = select_tip(self, self.tip, block.id)
+        self.tip = tc.new_tip
+        return tc
 
     def fork_point(self, a: int, b: int) -> int:
         """Deepest common ancestor of two blocks."""
@@ -187,15 +200,6 @@ class ChainStore:
             ba = self.blocks[ba.parent]
             bb = self.blocks[bb.parent]
         return ba.id
-
-    def ancestor_at(self, block_id: int, height: int) -> Block:
-        """Ancestor of a block at an exact height on its own branch."""
-        b = self.get(block_id)
-        if height > b.height or height < 0:
-            raise UnknownBlock(f"no ancestor of {block_id} at height {height}")
-        while b.height > height:
-            b = self.blocks[b.parent]
-        return b
 
     def path_from_genesis(self, block_id: Optional[int] = None) -> list[int]:
         """Block ids from genesis to the given block (default: the tip)."""
@@ -210,14 +214,36 @@ class ChainStore:
         return path
 
 
+def select_tip(store: ChainStore, tip: int, candidate: int) -> TipChange:
+    """The tip rule: a view whose tip is `tip` has just accepted the stored
+    block `candidate`.
+
+    The tip moves only when the candidate has strictly more cumulative work,
+    so at equal work the earlier-accepted block stays.  A move that leaves
+    the old tip's branch abandons old tip height - fork point height blocks.
+    """
+    if store.work[candidate] <= store.work[tip]:
+        return TipChange(tip, tip, 0)
+    blocks = store.blocks
+    depth = 0
+    if blocks[candidate].parent != tip:
+        depth = blocks[tip].height - blocks[store.fork_point(tip, candidate)].height
+    return TipChange(tip, candidate, depth)
+
+
 def median_past_time(store: ChainStore, parent_id: int, window: int = 11) -> int:
     """Median timestamp of the last `window` blocks ending at (and
     including) `parent_id`.
 
     Near genesis, fewer than `window` ancestors exist and all available
     ones are used.  For an even count the lower-middle element is taken,
-    so the result is always an actual recorded timestamp.
+    so the result is always an actual recorded timestamp.  Results are
+    cached in the store, so each (parent, window) is computed once.
     """
+    cache = store._mpt[window]
+    mpt = cache.get(parent_id)
+    if mpt is not None:
+        return mpt
     b = store.get(parent_id)
     stamps = []
     for _ in range(window):
@@ -226,7 +252,8 @@ def median_past_time(store: ChainStore, parent_id: int, window: int = 11) -> int
             break
         b = store.blocks[b.parent]
     stamps.sort()
-    return stamps[(len(stamps) - 1) // 2]
+    mpt = cache[parent_id] = stamps[(len(stamps) - 1) // 2]
+    return mpt
 
 
 def validate_timestamp(
@@ -285,11 +312,11 @@ BLOCK_CSV_FIELDS = (
 
 
 def blocks_to_rows(blocks: Iterable[Block]) -> list[list]:
-    """Rows of the chain-dump format, one per block, parents first.
+    """Typed rows of the chain-dump format, one per block, parents first.
 
     Cumulative work is recomputed from the parent links, so the input must
     list every parent before its children (id order from a simulation run
-    satisfies that).  Genesis writes an empty parent field.
+    satisfies that).  Genesis has parent None.
     """
     work: dict[int, float] = {}
     rows = []
@@ -300,21 +327,31 @@ def blocks_to_rows(blocks: Iterable[Block]) -> list[list]:
             if b.parent not in work:
                 raise MissingParent(f"parent {b.parent} of block {b.id} not listed first")
             work[b.id] = work[b.parent] + b.difficulty
-        rows.append([
-            b.id,
-            "" if b.parent is None else b.parent,
-            b.height,
-            b.miner,
-            b.timestamp,
-            repr(b.difficulty),
-            repr(work[b.id]),
-            repr(b.found_at),
-        ])
+        rows.append([b.id, b.parent, b.height, b.miner, b.timestamp,
+                     b.difficulty, work[b.id], b.found_at])
     return rows
 
 
+def write_table(path, fields: Sequence[str], rows: Iterable, fmt: str = "csv") -> None:
+    """Write typed rows (ints, floats, strings, None) under `fields`.
+
+    fmt "csv" writes a header row and LF line endings; "json" writes an
+    array of objects, indent 1, and a final newline.  Both print floats as
+    their shortest round-trip repr; None is an empty CSV cell and JSON null.
+    """
+    if fmt == "csv":
+        with open(path, "w", newline="") as fh:
+            w = csv.writer(fh, lineterminator="\n")
+            w.writerow(fields)
+            w.writerows(rows)
+    elif fmt == "json":
+        records = [dict(zip(fields, row)) for row in rows]
+        with open(path, "w") as fh:
+            json.dump(records, fh, indent=1)
+            fh.write("\n")
+    else:
+        raise ValueError(f"unknown format {fmt!r}")
+
+
 def write_blocks_csv(blocks: Iterable[Block], path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(BLOCK_CSV_FIELDS)
-        w.writerows(blocks_to_rows(blocks))
+    write_table(path, BLOCK_CSV_FIELDS, blocks_to_rows(blocks))

@@ -14,7 +14,6 @@ error, 2 runtime failure.
 """
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -23,6 +22,7 @@ from importlib import resources
 
 from . import analytic, metrics
 from .analytic import DIFFICULTY_ONE_SCALE
+from .chain import write_table
 from .sim import ConfigError, SimConfig, run
 
 OUTDIR_ENV = "BLOCKTIME_OUTDIR"
@@ -121,6 +121,10 @@ def _emit_reports(trace, outdir) -> str:
     reports = []
     if trace.config.delay.max_delay() > 0:
         reports.append(metrics.fork_rate(trace))
+        try:
+            reports.append(metrics.fork_episode_rate(trace))
+        except ValueError:
+            pass  # the trace lies outside the per-block form's derived setting
         reports.append(metrics.multi_discovery_window_rate(trace))
     deltas = trace.canonical_deltas()
     if deltas.size >= 2:
@@ -175,18 +179,8 @@ def cmd_entropy(args) -> int:
         args.lam = 1.0 / 600.0
     curve = metrics.entropy_trajectory(args.lam, args.step, args.horizon)
     os.makedirs(args.outdir, exist_ok=True)
-    if args.format == "json":
-        path = os.path.join(args.outdir, "entropy.json")
-        with open(path, "w") as fh:
-            json.dump([{"t": t, "p": p, "entropy_bits": h} for t, p, h in curve], fh, indent=1)
-            fh.write("\n")
-    else:
-        path = os.path.join(args.outdir, "entropy.csv")
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(("t", "p", "entropy_bits"))
-            for t, p, h in curve:
-                w.writerow((repr(t), repr(p), repr(h)))
+    path = os.path.join(args.outdir, f"entropy.{args.format}")
+    write_table(path, ("t", "p", "entropy_bits"), curve, args.format)
     peak = analytic.entropy_peak_time(args.lam)
     print(f"entropy curve: lambda={args.lam:.12g} step={args.step:.12g} "
           f"horizon={args.horizon:.12g} peak_t={peak:.12g}")
@@ -301,8 +295,9 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        # anything else is a fault of the run, not of its inputs
+        print(f"runtime error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -8,7 +8,6 @@ are flagged as under-powered instead of being treated as pass/fail
 evidence.  All estimators are pure over immutable traces.
 """
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -17,7 +16,6 @@ import numpy as np
 
 from .analytic import (
     bernoulli_entropy,
-    catchup_probability,
     discovery_cdf,
     entropy_peak_time,
     fork_episodes_per_block,
@@ -26,6 +24,7 @@ from .analytic import (
     interval_tail_probability,
     theta_from_difficulty,
 )
+from .chain import write_table
 from .sim import SimTrace
 
 UNDERPOWERED_EVENTS = 10
@@ -46,8 +45,7 @@ class ComparisonReport:
     warning: Optional[str] = None
 
     def row(self) -> list:
-        return [self.quantity, repr(self.analytic), repr(self.empirical),
-                self.n, repr(self.stderr), repr(self.z)]
+        return [self.quantity, self.analytic, self.empirical, self.n, self.stderr, self.z]
 
     def __str__(self) -> str:
         s = (f"{self.quantity}: analytic={self.analytic:.6g} "
@@ -350,13 +348,4 @@ REPORT_CSV_FIELDS = ("quantity", "analytic", "empirical", "n", "stderr", "z")
 
 
 def write_reports_csv(reports: Sequence[ComparisonReport], path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(REPORT_CSV_FIELDS)
-        for r in reports:
-            w.writerow(r.row())
-
-
-def catchup_curve(q: float, k_max: int) -> list[tuple[int, float]]:
-    """Closed-form catch-up probabilities for depths 0..k_max."""
-    return [(k, catchup_probability(q, k)) for k in range(k_max + 1)]
+    write_table(path, REPORT_CSV_FIELDS, [r.row() for r in reports])

@@ -1,11 +1,14 @@
 """Deterministic discrete-event simulator of competing block producers.
 
 Miners generate blocks as exponential processes whose rates follow their
-hash-rate share and the difficulty prescribed by their current tip.  Found
-blocks propagate to every other node with configurable delay; each node
-validates timestamps against its own (possibly skewed) clock, inserts into
-its ChainStore, and re-selects its tip.  Miners re-anchor and redraw their
-next discovery whenever their node's tip moves, which by memorylessness is
+hash-rate share and the difficulty prescribed by their current tip.  Every
+found block goes once into the one ChainStore the whole network shares,
+which fixes its height, cumulative work and median-past-time, and then
+propagates to every other node with configurable delay.  A node is a view
+of that store (the ids it has accepted, its tip and its pending orphans):
+it validates timestamps against its own (possibly skewed) clock, accepts
+the block and re-selects its tip with the store's tip rule.  Miners
+re-anchor and redraw their next discovery whenever their node's tip moves, which by memorylessness is
 distributionally identical to continuing the pending draw.
 
 A run is a pure function of (config, seed): one RNG stream is consumed in
@@ -13,7 +16,6 @@ event order and event ties are broken by a global sequence number, so two
 runs with the same inputs produce bit-identical traces.
 """
 
-import csv
 import heapq
 import itertools
 import json
@@ -27,13 +29,20 @@ import numpy as np
 
 from .analytic import theta_from_difficulty
 from .chain import (
+    BLOCK_CSV_FIELDS,
+    GENESIS_ID,
     Block,
     ChainStore,
     ConsensusRules,
+    blocks_to_rows,
+    finite_number,
     make_genesis,
     median_past_time,
     retarget,
+    select_tip,
     validate_timestamp,
+    whole_number,
+    write_table,
 )
 
 # Advisory threshold for local clocks that stray from network time (ten
@@ -81,12 +90,12 @@ class MinerSpec:
         if isinstance(strategy, dict):
             if set(strategy) != {FIXED_SKEW}:
                 raise ConfigError(f"bad strategy object: {strategy}")
-            skew = float(strategy[FIXED_SKEW])
+            skew = finite_number(strategy[FIXED_SKEW], "skew")
             strategy = FIXED_SKEW
         return cls(
-            id=int(d["id"]),
-            share=float(d["share"]),
-            clock_offset=float(d.get("clock_offset", 0.0)),
+            id=whole_number(d["id"], "miner id"),
+            share=finite_number(d["share"], "share"),
+            clock_offset=finite_number(d.get("clock_offset", 0.0), "clock_offset"),
             strategy=strategy,
             skew=skew,
         )
@@ -103,13 +112,14 @@ class DelayModel:
 
     @classmethod
     def fixed(cls, tau: float) -> "DelayModel":
+        tau = finite_number(tau, "delay")
         if tau < 0:
             raise ConfigError("delay must be nonnegative")
-        return cls("fixed", tau=float(tau))
+        return cls("fixed", tau=tau)
 
     @classmethod
     def per_pair(cls, matrix) -> "DelayModel":
-        m = [[float(x) for x in row] for row in matrix]
+        m = [[finite_number(x, "delay") for x in row] for row in matrix]
         n = len(m)
         if n == 0 or any(len(row) != n for row in m):
             raise ConfigError("per-pair delay matrix must be square and nonempty")
@@ -155,9 +165,9 @@ class StopRule:
     @classmethod
     def from_dict(cls, d: dict) -> "StopRule":
         if set(d) == {"blocks"}:
-            return cls(blocks=int(d["blocks"]))
+            return cls(blocks=whole_number(d["blocks"], "stop.blocks"))
         if set(d) == {"duration"}:
-            return cls(duration=float(d["duration"]))
+            return cls(duration=finite_number(d["duration"], "stop.duration"))
         raise ConfigError(f"stop must be {{'blocks': n}} or {{'duration': s}}, got {d}")
 
 
@@ -218,15 +228,17 @@ class SimConfig:
             miners = [MinerSpec.from_dict(m) for m in d["miners"]]
             cfg = cls(
                 miners=miners,
-                nodes=int(d.get("nodes", len(miners))),
+                nodes=whole_number(d.get("nodes", len(miners)), "nodes"),
                 delay=DelayModel.from_dict(d["delay"]),
                 rules=ConsensusRules.from_dict(d.get("rules", {})),
-                initial_difficulty=float(d["initial_difficulty"]),
-                nominal_hashrate=float(d["nominal_hashrate"]),
+                initial_difficulty=finite_number(d["initial_difficulty"], "initial_difficulty"),
+                nominal_hashrate=finite_number(d["nominal_hashrate"], "nominal_hashrate"),
                 stop=StopRule.from_dict(d["stop"]),
-                seed=int(d["seed"]),
+                seed=whole_number(d["seed"], "seed"),
                 retarget_enabled=bool(d.get("retarget_enabled", True)),
-                hashrate_steps=[(int(h), float(f)) for h, f in d.get("hashrate_steps", [])],
+                hashrate_steps=[(whole_number(h, "hashrate step height"),
+                                 finite_number(f, "hashrate step factor"))
+                                for h, f in d.get("hashrate_steps", [])],
             )
         except KeyError as exc:
             raise ConfigError(f"missing config key: {exc.args[0]}") from None
@@ -353,77 +365,33 @@ class SimTrace:
         """
         os.makedirs(outdir, exist_ok=True)
         tables = {
-            "blocks": (
-                ("id", "parent", "height", "miner", "timestamp",
-                 "difficulty", "cumulative_work", "found_at"),
-                self._block_rows(),
-            ),
-            "tip_changes": (
-                ("time", "node", "new_tip", "reorg_depth"),
-                [[repr(e.time), e.node, e.new_tip, e.reorg_depth] for e in self.tip_events],
-            ),
+            "blocks": (BLOCK_CSV_FIELDS, blocks_to_rows(self.blocks)),
+            "tip_changes": (("time", "node", "new_tip", "reorg_depth"), self.tip_events),
             "forks": (
                 ("window_start", "blocks", "winner"),
-                [[repr(f.window_start), "|".join(str(b) for b in f.blocks),
-                  "" if f.winner is None else f.winner] for f in self.fork_episodes],
+                [(f.window_start, "|".join(map(str, f.blocks)), f.winner)
+                 for f in self.fork_episodes],
             ),
-            "difficulty": (
-                ("height", "difficulty"),
-                [[h, repr(d)] for h, d in self.difficulty_history],
-            ),
+            "difficulty": (("height", "difficulty"), self.difficulty_history),
         }
         written = []
         for name, (fields, rows) in tables.items():
-            if fmt == "csv":
-                path = os.path.join(outdir, f"{name}.csv")
-                with open(path, "w", newline="") as fh:
-                    w = csv.writer(fh, lineterminator="\n")
-                    w.writerow(fields)
-                    w.writerows(rows)
-            elif fmt == "json":
-                path = os.path.join(outdir, f"{name}.json")
-                records = [dict(zip(fields, _json_cells(row))) for row in rows]
-                with open(path, "w") as fh:
-                    json.dump(records, fh, indent=1)
-                    fh.write("\n")
-            else:
-                raise ValueError(f"unknown format {fmt!r}")
+            path = os.path.join(outdir, f"{name}.{fmt}")
+            write_table(path, fields, rows, fmt)
             written.append(path)
         return written
 
-    def _block_rows(self) -> list[list]:
-        work: dict[int, float] = {}
-        rows = []
-        for b in self.blocks:
-            work[b.id] = b.difficulty + (0.0 if b.parent is None else work[b.parent])
-            rows.append([
-                b.id, "" if b.parent is None else b.parent, b.height, b.miner,
-                b.timestamp, repr(b.difficulty), repr(work[b.id]), repr(b.found_at),
-            ])
-        return rows
-
-
-def _json_cells(row):
-    # CSV cells carry floats as repr strings; decode them back for JSON so
-    # both formats parse to identical values.
-    out = []
-    for cell in row:
-        if isinstance(cell, str) and cell:
-            try:
-                out.append(float(cell))
-                continue
-            except ValueError:
-                pass
-        out.append(None if cell == "" else cell)
-    return out
-
 
 class _Node:
-    __slots__ = ("index", "store", "clock_offset", "pending", "miners")
+    """One node's view of the shared store: the ids it has accepted, its
+    tip, and the blocks parked until their parent is accepted."""
 
-    def __init__(self, index: int, store: ChainStore, clock_offset: float):
+    __slots__ = ("index", "known", "tip", "clock_offset", "pending", "miners")
+
+    def __init__(self, index: int, clock_offset: float):
         self.index = index
-        self.store = store
+        self.known: set[int] = {GENESIS_ID}
+        self.tip = GENESIS_ID
         self.clock_offset = clock_offset
         self.pending: dict[int, list[Block]] = {}
         self.miners: list[int] = []
@@ -440,13 +408,13 @@ class _Engine:
         self.cfg = config
         self.rng = np.random.default_rng(config.seed)
         self.rules = config.rules
-        genesis = make_genesis(config.initial_difficulty)
-        self.blocks: list[Block] = [genesis]
+        self.store = ChainStore(make_genesis(config.initial_difficulty))
+        self.blocks = self.store.blocks  # by id, in id order
         self.children: dict[int, list[int]] = defaultdict(list)
         self.nodes: list[_Node] = []
         for i in range(config.nodes):
             offset = config.miners[i].clock_offset if i < len(config.miners) else 0.0
-            self.nodes.append(_Node(i, ChainStore(genesis), offset))
+            self.nodes.append(_Node(i, offset))
         for i, _m in enumerate(config.miners):
             self.nodes[i].miners.append(i)
         self.miner_node = list(range(len(config.miners)))
@@ -454,9 +422,8 @@ class _Engine:
         self.heap: list = []
         self.seq = itertools.count()
         self.draining = False
-        # caches shared across nodes: both are pure functions of the block DAG
+        # retargeted difficulty per boundary block: a pure function of the DAG
         self.next_diff: dict[int, float] = {}
-        self.mpt: dict[int, int] = {}
         self.tip_events: list[TipEvent] = []
         self.rejections: list[Rejection] = []
         self.difficulty_history: list[tuple[int, float]] = [(0, config.initial_difficulty)]
@@ -504,7 +471,7 @@ class _Engine:
         pending for this miner.
         """
         self.versions[miner_idx] += 1
-        tip = self.nodes[self.miner_node[miner_idx]].store.tip_block()
+        tip = self.blocks[self.nodes[self.miner_node[miner_idx]].tip]
         rate = self.miner_rate(miner_idx, tip)
         dt = self.rng.exponential(1.0 / rate)
         heapq.heappush(self.heap, (
@@ -518,6 +485,16 @@ class _Engine:
         for m in node.miners:
             self.schedule_find(m, now)
 
+    def accept(self, node: _Node, block_id: int, now: float) -> bool:
+        """Add a stored block to the node's view; True when its tip moved."""
+        node.known.add(block_id)
+        tc = select_tip(self.store, node.tip, block_id)
+        if not tc.changed:
+            return False
+        node.tip = tc.new_tip
+        self.tip_events.append(TipEvent(now, node.index, tc.new_tip, tc.reorg_depth))
+        return True
+
     # ---- event handlers ---------------------------------------------------
 
     def handle_found(self, now: float, miner_idx: int, parent_id: int, version: int) -> None:
@@ -526,10 +503,7 @@ class _Engine:
         spec = self.cfg.miners[miner_idx]
         node = self.nodes[self.miner_node[miner_idx]]
         parent = self.blocks[parent_id]
-        mpt = self.mpt.get(parent_id)
-        if mpt is None:
-            mpt = median_past_time(node.store, parent_id, self.rules.mpt_window)
-            self.mpt[parent_id] = mpt
+        mpt = median_past_time(self.store, parent_id, self.rules.mpt_window)
         local = now + spec.clock_offset
         if spec.strategy == FIXED_SKEW:
             local += spec.skew
@@ -542,16 +516,14 @@ class _Engine:
             difficulty=self.child_difficulty(parent),
             found_at=now,
         )
-        self.blocks.append(block)
+        self.store.insert(block)
         self.children[parent_id].append(block.id)
         if (self.cfg.retarget_enabled and block.height > 0
                 and block.height % self.rules.retarget_interval == 0):
             self.child_difficulty(block)  # compute and record the retarget now
 
         # own node accepts its own block without re-validation
-        tc = node.store.insert(block)
-        if tc.changed:
-            self.tip_events.append(TipEvent(now, node.index, tc.new_tip, tc.reorg_depth))
+        if self.accept(node, block.id, now):
             self.check_stop(node)
             self.on_tip_change(node, now)
 
@@ -565,25 +537,23 @@ class _Engine:
 
     def handle_deliver(self, now: float, node_idx: int, block_id: int) -> None:
         node = self.nodes[node_idx]
-        block = self.blocks[block_id]
-        if block.id in node.store:
+        if block_id in node.known:
             return
-        if block.parent not in node.store:
+        block = self.blocks[block_id]
+        if block.parent not in node.known:
             node.pending.setdefault(block.parent, []).append(block)
             return
         tip_moved = False
         queue = [block]
         while queue:
             b = queue.pop(0)
-            reason = validate_timestamp(b, node.store, now + node.clock_offset, self.rules)
+            reason = validate_timestamp(b, self.store, now + node.clock_offset, self.rules)
             if reason is not None:
                 # dropped for good; descendants stay parked in the pending
                 # pool and never become part of this node's view
                 self.rejections.append(Rejection(now, node_idx, b.id, reason))
                 continue
-            tc = node.store.insert(b)
-            if tc.changed:
-                self.tip_events.append(TipEvent(now, node_idx, tc.new_tip, tc.reorg_depth))
+            if self.accept(node, b.id, now):
                 tip_moved = True
             queue.extend(node.pending.pop(b.id, ()))
         if tip_moved:
@@ -593,7 +563,7 @@ class _Engine:
     def check_stop(self, node: _Node) -> None:
         stop = self.cfg.stop
         if (stop.blocks is not None and node.index == 0
-                and node.store.tip_block().height >= stop.blocks):
+                and self.blocks[node.tip].height >= stop.blocks):
             self.draining = True
 
     # ---- main loop --------------------------------------------------------
@@ -613,18 +583,18 @@ class _Engine:
         episodes = self.collect_episodes()
         return SimTrace(
             config=self.cfg,
-            blocks=self.blocks,
+            blocks=list(self.blocks.values()),
             tip_events=self.tip_events,
             fork_episodes=episodes,
             difficulty_history=self.difficulty_history,
             warnings=self.warnings,
             rejections=self.rejections,
-            final_tips=[n.store.tip for n in self.nodes],
+            final_tips=[n.tip for n in self.nodes],
         )
 
     def collect_episodes(self) -> list[ForkEpisode]:
         canonical = set()
-        bid = self.nodes[0].store.tip
+        bid = self.nodes[0].tip
         while bid is not None:
             canonical.add(bid)
             bid = self.blocks[bid].parent

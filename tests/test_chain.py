@@ -3,6 +3,8 @@
 import csv
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blocktime.chain import (
     Block,
@@ -16,6 +18,7 @@ from blocktime.chain import (
     make_genesis,
     median_past_time,
     retarget,
+    select_tip,
     validate_timestamp,
     write_blocks_csv,
 )
@@ -185,6 +188,67 @@ class TestInsertAndTip:
         k = tc.reorg_depth
         assert before[:-k] == after[:len(before) - k]
         assert after[:len(before) - k] + [c.id, d.id] == after
+
+
+@st.composite
+def trees_in_insertion_order(draw):
+    """A random block tree and one parents-first order of its blocks.
+
+    Difficulties come from {1, 2}, so blocks of equal work abound, both at
+    one height and across heights; the sums are exact in floating point."""
+    n = draw(st.integers(1, 24))
+    genesis = make_genesis(1.0)
+    blocks = {0: genesis}
+    for i in range(1, n + 1):
+        parent = blocks[draw(st.integers(0, i - 1))]
+        difficulty = draw(st.sampled_from([1.0, 2.0]))
+        blocks[i] = Block(i, parent.id, parent.height + 1, 0, i, difficulty, float(i))
+    order, ready = [], [i for i in range(1, n + 1) if blocks[i].parent == 0]
+    while ready:
+        bid = ready.pop(draw(st.integers(0, len(ready) - 1)))
+        order.append(bid)
+        ready += [i for i in range(1, n + 1) if blocks[i].parent == bid]
+    return blocks, order
+
+
+def _ancestors(blocks, bid):
+    out = []
+    while bid is not None:
+        out.append(bid)
+        bid = blocks[bid].parent
+    return out
+
+
+@settings(deadline=None, database=None)
+@given(trees_in_insertion_order())
+def test_tip_rule_on_random_trees(tree):
+    """Both users of the tip rule -- a ChainStore fed in arrival order and a
+    view over a store that already holds every block, as a simulated node
+    is -- keep the earliest-accepted block of most work as the tip, and a
+    tip change reports old tip height - fork point height."""
+    blocks, order = tree
+    work = {0: 1.0}
+    shared = ChainStore(blocks[0])
+    for bid in range(1, len(blocks)):
+        work[bid] = work[blocks[bid].parent] + blocks[bid].difficulty
+        shared.insert(blocks[bid])
+    store = ChainStore(blocks[0])
+    view_tip = 0
+    accepted = [0]
+    for bid in order:
+        tc = store.insert(blocks[bid])
+        assert select_tip(shared, view_tip, bid) == tc
+        view_tip = tc.new_tip
+        accepted.append(bid)
+        best = max(work[i] for i in accepted)
+        assert store.tip == tc.new_tip == next(i for i in accepted if work[i] == best)
+        if tc.changed:
+            common = set(_ancestors(blocks, tc.new_tip))
+            fork = next(i for i in _ancestors(blocks, tc.old_tip) if i in common)
+            assert store.fork_point(tc.old_tip, tc.new_tip) == fork
+            assert tc.reorg_depth == blocks[tc.old_tip].height - blocks[fork].height
+        else:
+            assert tc.reorg_depth == 0
 
 
 class TestForkPoint:

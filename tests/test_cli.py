@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+from importlib import resources
 
 import pytest
 
@@ -182,6 +183,50 @@ class TestSimulateCommand:
             rows = list(csv.DictReader(fh))
         assert {r["quantity"] for r in rows} == {"tail_frequency"}  # zero-delay run
         assert list(rows[0]) == ["quantity", "analytic", "empirical", "n", "stderr", "z"]
+
+    def test_reports_per_block_fork_row(self, capsys, tmp_path):
+        # two miners on their own nodes, one fixed delay: fork_episode_rate
+        # accepts the trace and its row follows fork_rate's
+        d = json.loads((resources.files("blocktime") / "scenarios" / "forkrate.json").read_text())
+        d["stop"] = {"blocks": 2000}
+        config = tmp_path / "forkrate-2000.json"
+        config.write_text(json.dumps(d))
+        code, out, _ = run_cli(capsys, "simulate", "--config", str(config),
+                               "--outdir", str(tmp_path), "--reports")
+        assert code == 0
+        assert "fork_episode_rate" in out
+        with open(tmp_path / "reports.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["quantity"] for r in rows] == [
+            "fork_rate", "fork_episode_rate", "multi_discovery_window_rate", "tail_frequency"]
+        assert rows[1]["empirical"] == rows[0]["empirical"]
+
+    @pytest.mark.parametrize("key, value", [
+        ("seed", 1.7),
+        ("stop", {"blocks": 2.5}),
+        ("nominal_hashrate", math.inf),
+        ("delay", {"fixed": math.nan}),
+        ("rules", {"mpt_window": 2.5}),
+    ], ids=["seed", "stop.blocks", "nominal_hashrate", "delay.fixed", "rules.mpt_window"])
+    def test_bad_numbers_exit_one(self, capsys, tmp_path, key, value):
+        d = json.loads((resources.files("blocktime") / "scenarios" / "baseline.json").read_text())
+        d[key] = value
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(d))  # writes NaN and Infinity literals
+        code, _, err = run_cli(capsys, "simulate", "--config", str(config),
+                               "--outdir", str(tmp_path))
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "blocks.csv").exists()
+
+    def test_unexpected_failure_exits_two(self, capsys, tmp_path, monkeypatch):
+        def broken(cfg):
+            raise RuntimeError("engine fault")
+        monkeypatch.setattr("blocktime.cli.run", broken)
+        code, _, err = run_cli(capsys, "simulate", "--config", "baseline",
+                               "--outdir", str(tmp_path))
+        assert code == 2
+        assert err == "runtime error: engine fault\n"
 
     def test_missing_config(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "simulate", "--config", "no-such-thing",
