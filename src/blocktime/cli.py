@@ -147,7 +147,9 @@ def cmd_race(args) -> int:
         raise _UsageError("--k must be nonnegative")
     if args.trials < 1:
         raise _UsageError("--trials must be at least 1")
-    step_cap = args.step_cap or metrics.default_step_cap(args.q, args.k)
+    if args.step_cap is not None and args.step_cap < 1:
+        raise _UsageError("--step-cap must be at least 1")
+    step_cap = metrics.default_step_cap(args.q, args.k) if args.step_cap is None else args.step_cap
     estimate = metrics.race_monte_carlo(args.q, args.k, args.trials, args.seed, step_cap)
     closed = analytic.catchup_probability(args.q, args.k)
     stderr = math.sqrt(closed * (1.0 - closed) / args.trials)

@@ -24,7 +24,7 @@ from .analytic import (
     interval_tail_probability,
     theta_from_difficulty,
 )
-from .chain import write_table
+from .chain import whole_number, write_table
 from .sim import SimTrace
 
 UNDERPOWERED_EVENTS = 10
@@ -269,6 +269,15 @@ def default_step_cap(q: float, k: int) -> int:
 
 _BATCH = 1 << 16
 _SLAB = 64
+# A slab's steps are packed 8 to a byte, first step in the high bit, a set
+# bit for a down-step (-1) and a clear bit for an up-step (+1).  For every
+# byte value, _NET is the net move of its 8 steps and _LOW the lowest of
+# their 8 partial sums.
+_PATHS = np.cumsum(
+    1 - 2 * np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).astype(np.int8),
+    axis=1, dtype=np.int8)
+_NET = _PATHS[:, -1].copy()
+_LOW = _PATHS.min(axis=1)
 
 
 def race_monte_carlo(q: float, k: int, trials: int, seed: int,
@@ -280,19 +289,34 @@ def race_monte_carlo(q: float, k: int, trials: int, seed: int,
     Runs in batches whose RNG streams derive deterministically from
     (seed, batch index), so results are reproducible bit for bit and
     independent of any execution schedule.  Within a batch the walks
-    advance in slabs of 64 steps at a time: a walk succeeded in a slab iff
-    the running minimum of its partial sums erased the deficit, and a walk
-    whose deficit exceeds its remaining step budget at a slab boundary is
-    failed early, which cannot change any outcome.
+    advance in slabs of up to 64 steps, drawn as one (walks, steps)
+    float32 array; a step is down where its draw is below q.  Each walk's
+    steps are packed 8 to a byte, and the bytes are walked in step order
+    through two 256-entry tables, the net move of a byte and the lowest
+    partial sum inside it, which give the walk's position and running
+    minimum after every byte.  A short last byte is padded with clear
+    bits, which read as up-steps after the last real step: they raise the
+    position, which is corrected by their count, and cannot lower the
+    minimum.  A walk succeeded in a slab iff its minimum erased the
+    deficit, and a walk whose deficit exceeds its remaining step budget at
+    a slab boundary is failed early, which cannot change any outcome.
     """
     if not 0 <= q < 1:
         raise ValueError("q must lie in [0, 1)")
-    if k < 0 or int(k) != k:
+    k = whole_number(k, "k")
+    if k < 0:
         raise ValueError("k must be a nonnegative integer")
+    trials = whole_number(trials, "trials")
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    seed = whole_number(seed, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     if step_cap is None:
         step_cap = default_step_cap(q, k)
+    step_cap = whole_number(step_cap, "step_cap")
+    if step_cap < 1:
+        raise ValueError(f"step_cap must be at least 1, got {step_cap}")
     if q < 0.5 and step_cap < 10.0 * k / (1.0 - 2.0 * q):
         raise ValueError("step_cap too small: truncation would bias the estimate")
     if k == 0:
@@ -300,6 +324,7 @@ def race_monte_carlo(q: float, k: int, trials: int, seed: int,
     if q == 0.0:
         return 0.0
 
+    draws = np.empty(min(_BATCH, trials) * min(_SLAB, step_cap), dtype=np.float32)
     successes = 0
     done = 0
     batch_index = 0
@@ -310,21 +335,16 @@ def race_monte_carlo(q: float, k: int, trials: int, seed: int,
         steps_taken = 0
         while deficit.size and steps_taken < step_cap:
             span = min(_SLAB, step_cap - steps_taken)
-            down = rng.random((deficit.size, span), dtype=np.float32) < q
-            moves = 1 - 2 * down.astype(np.int8)
-            # only walks within `span` of zero can possibly hit in this slab;
-            # prefix sums stay within +-_SLAB so int8 holds them
-            near = deficit <= span
-            hit = np.zeros(deficit.size, dtype=bool)
-            if near.all():
-                lows = np.cumsum(moves, axis=1, dtype=np.int8).min(axis=1)
-                hit = lows <= -deficit
-                successes += int(hit.sum())
-            elif near.any():
-                lows = np.cumsum(moves[near], axis=1, dtype=np.int8).min(axis=1)
-                hit[near] = lows <= -deficit[near]
-                successes += int(hit.sum())
-            deficit += moves.sum(axis=1, dtype=np.int32)
+            u = rng.random(dtype=np.float32, out=draws[:deficit.size * span].reshape(-1, span))
+            # positions and lows stay within +-_SLAB, so int8 holds them
+            pos = np.zeros(deficit.size, dtype=np.int8)
+            low = np.full(deficit.size, _SLAB, dtype=np.int8)
+            for byte in np.packbits(u < q, axis=1).T:
+                np.minimum(low, pos + np.take(_LOW, byte), out=low)
+                pos += np.take(_NET, byte)
+            hit = low <= -deficit
+            successes += int(hit.sum())
+            deficit += pos - (-span % 8)  # less the pad bits' up-steps
             steps_taken += span
             alive = ~hit & (deficit <= step_cap - steps_taken)
             if not alive.all():

@@ -95,6 +95,18 @@ class TestRaceCommand:
         code, _, err = run_cli(capsys, "race", "--q", "1.5", "--k", "2")
         assert code == 1
 
+    @pytest.mark.parametrize("flags, name", [
+        (["--q", "0.3", "--step-cap", "0"], "step-cap"),
+        (["--q", "0.6", "--step-cap", "-5"], "step-cap"),
+        (["--q", "0.3", "--seed", "-1"], "seed"),
+    ], ids=["step-cap-zero", "step-cap-negative-majority", "seed-negative"])
+    def test_bad_numbers_exit_one(self, capsys, flags, name):
+        code, out, err = run_cli(capsys, "race", "--k", "3", "--trials", "1000", *flags)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(("usage error: ", "error: ")) and err.count("\n") == 1
+        assert name in err
+
 
 class TestEntropyCommand:
     def test_writes_curve(self, capsys, tmp_path):

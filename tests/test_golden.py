@@ -1,11 +1,15 @@
 """Golden bytes: the sha256 of every file the CLI writes for the bundled
 fig2, baseline and retarget scenarios (CSV and JSON, plus reports.csv for
-baseline) and for the entropy curve at its defaults.
+baseline) and for the entropy curve at its defaults; and the exact floats
+race_monte_carlo returns for a set of (q, k, trials, seed, step_cap).
 
 Criterion 9 only compares two runs of the same code; these digests pin the
 output of an earlier commit, so a refactor that changes any output byte
 fails here.  When a change is meant to alter an output, record the new
-digests and say in CHANGES.md why they moved.
+digests and say in CHANGES.md why they moved.  The race pins cover step
+caps that are not multiples of 8 or 64, q >= 0.5, trial counts that are
+not multiples of the batch size and the near-critical q = 0.45; they were
+recorded with the int8 prefix-sum kernel that preceded the packed tables.
 """
 
 import hashlib
@@ -13,6 +17,7 @@ import hashlib
 import pytest
 
 from blocktime.cli import main
+from blocktime.metrics import race_monte_carlo
 
 # name: (argv without --outdir, {file name: sha256})
 GOLDEN = {
@@ -93,3 +98,23 @@ def test_output_bytes(name, tmp_path, capsys):
     capsys.readouterr()
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     assert written == digests
+
+
+# (q, k, trials, seed, step_cap): the exact estimate
+RACE_PINS = {
+    (0.3, 4, 65_537, 1, 101): 0.034041838961197494,
+    (0.3, 6, 70_001, 2, 151): 0.0067570463279096014,
+    (0.6, 3, 65_537, 3, 101): 0.9917603796328791,
+    (0.6, 3, 65_537, 9, 5): 0.3734379053054,
+    (0.6, 12, 70_001, 8, 61): 0.6325909629862431,
+    (0.6, 12, 131_072, 10, 101): 0.8786773681640625,
+    (0.45, 8, 70_001, 5, None): 0.2004971357552035,
+    (0.45, 8, 65_536, 22, None): 0.2014007568359375,
+    (0.1, 1, 1_000, 6, 13): 0.112,
+    (0.2, 2, 200_000, 7, None): 0.063455,
+}
+
+
+@pytest.mark.parametrize("call", sorted(RACE_PINS, key=repr), ids=repr)
+def test_race_estimate(call):
+    assert race_monte_carlo(*call) == RACE_PINS[call]

@@ -3,9 +3,12 @@
 import csv
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import blocktime.metrics as M
 from blocktime import analytic as an
@@ -159,6 +162,12 @@ class TestRaceMonteCarlo:
     def test_step_cap_guard(self):
         with pytest.raises(ValueError):
             M.race_monte_carlo(0.3, 5, 1000, seed=1, step_cap=50)
+        # q >= 0.5 has no bias floor, but a walk needs at least one step
+        for cap in (0, -5):
+            with pytest.raises(ValueError, match="step_cap"):
+                M.race_monte_carlo(0.6, 3, 1000, seed=1, step_cap=cap)
+        with pytest.raises(ValueError, match="step_cap"):
+            M.race_monte_carlo(0.6, 3, 1000, seed=1, step_cap=10.5)
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -167,10 +176,62 @@ class TestRaceMonteCarlo:
             M.race_monte_carlo(0.3, -1, 1000, seed=1)
         with pytest.raises(ValueError):
             M.race_monte_carlo(0.3, 3, 0, seed=1)
+        for k in (2.5, math.inf, math.nan):
+            with pytest.raises(ValueError, match="k must"):
+                M.race_monte_carlo(0.3, k, 1000, seed=1)
+        with pytest.raises(ValueError, match="trials"):
+            M.race_monte_carlo(0.3, 3, 1000.5, seed=1)
+        for seed in (1.5, -1):
+            with pytest.raises(ValueError, match="seed"):
+                M.race_monte_carlo(0.3, 3, 1000, seed=seed)
+        # integral floats are whole numbers
+        assert M.race_monte_carlo(0.3, 3, 1000.0, seed=1.0) == M.race_monte_carlo(0.3, 3, 1000, seed=1)
 
     def test_majority_attacker_estimate_near_one(self):
         est = M.race_monte_carlo(0.6, 3, 50_000, seed=4)
         assert est > 0.99
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(q=st.floats(0.01, 0.7), k=st.integers(1, 12), trials=st.integers(1, 3000),
+           seed=st.integers(0, 2**64 - 1), extra=st.integers(0, 300),
+           batch=st.sampled_from([M._BATCH, 700]), slab=st.sampled_from([M._SLAB, 21]))
+    def test_equals_prefix_sum_reference(self, q, k, trials, seed, extra, batch, slab):
+        # A smaller batch splits the trials into several batches; a slab that
+        # is not a multiple of 8 pads the last byte of every slab, not only
+        # of the final one, so the pad correction shows in the deficit.
+        floor = math.ceil(10.0 * k / (1.0 - 2.0 * q)) if q < 0.5 else 1
+        step_cap = max(floor, min(300, floor + extra))
+        with mock.patch.object(M, "_BATCH", batch), mock.patch.object(M, "_SLAB", slab):
+            assert M.race_monte_carlo(q, k, trials, seed, step_cap) == \
+                _race_prefix_sum_reference(q, k, trials, seed, step_cap)
+
+
+def _race_prefix_sum_reference(q, k, trials, seed, step_cap):
+    """race_monte_carlo with its earlier slab kernel: the same batches,
+    slabs and draws, each walk's running minimum taken by an int8 cumsum
+    over its +-1 moves.  It walks every row, also those too far from zero
+    to hit in the slab."""
+    successes = 0
+    done = 0
+    batch_index = 0
+    while done < trials:
+        size = min(M._BATCH, trials - done)
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(batch_index,)))
+        deficit = np.full(size, k, dtype=np.int32)
+        steps_taken = 0
+        while deficit.size and steps_taken < step_cap:
+            span = min(M._SLAB, step_cap - steps_taken)
+            down = rng.random((deficit.size, span), dtype=np.float32) < q
+            moves = 1 - 2 * down.astype(np.int8)
+            lows = np.cumsum(moves, axis=1, dtype=np.int8).min(axis=1)
+            hit = lows <= -deficit
+            successes += int(hit.sum())
+            deficit += moves.sum(axis=1, dtype=np.int32)
+            steps_taken += span
+            deficit = deficit[~hit & (deficit <= step_cap - steps_taken)]
+        done += size
+        batch_index += 1
+    return successes / trials
 
 
 class TestForkRate:
