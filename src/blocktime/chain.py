@@ -332,12 +332,58 @@ def blocks_to_rows(blocks: Iterable[Block]) -> list[list]:
     return rows
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+_NONFINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+
+
+def _json_float(v: float) -> str:
+    r = float.__repr__(v)
+    return _NONFINITE.get(r, r)
+
+
+def _json_other(v) -> str:
+    if isinstance(v, (list, tuple, dict)):
+        raise TypeError(f"table cells must be scalars, got {type(v).__name__}")
+    return json.dumps(v)
+
+
+# cell spelling by exact type; anything else goes through _json_other
+_JSON_CELL = {
+    int: int.__repr__,
+    float: _json_float,
+    str: _encode_str,
+    type(None): lambda v: "null",
+}
+
+
+def _json_row_template(fields: Sequence[str]) -> str:
+    if len(set(fields)) != len(fields):
+        raise ValueError(f"duplicate field names in {list(fields)!r}")
+    if not fields:
+        return " {}"
+    items = ",\n".join(f"  {_encode_str(f).replace('%', '%%')}: %s" for f in fields)
+    return f" {{\n{items}\n }}"
+
+
 def write_table(path, fields: Sequence[str], rows: Iterable, fmt: str = "csv") -> None:
     """Write typed rows (ints, floats, strings, None) under `fields`.
 
-    fmt "csv" writes a header row and LF line endings; "json" writes an
-    array of objects, indent 1, and a final newline.  Both print floats as
-    their shortest round-trip repr; None is an empty CSV cell and JSON null.
+    fmt "csv" writes a header row and LF line endings.  fmt "json" writes
+    the bytes `json.dump([dict(zip(fields, row)) ...], fh, indent=1)` plus a
+    final newline would, without that encoder: one row template per table
+    (`' {\n  "id": %s,\n  "parent": %s, ...\n }'`, keys spelled by
+    `encode_basestring_ascii`, `' {}'` for no fields) is filled per row and
+    the array is streamed to the file row by row, so the table's text is
+    never held whole.  Each cell is spelled by its own type: an exact int or
+    float by its repr (non-finite floats as `Infinity`, `-Infinity`, `NaN`,
+    as `json` spells them), an exact str by `encode_basestring_ascii`, None
+    as null, and any other scalar (bool, an int or float subclass) by
+    `json.dumps`, which raises TypeError for types JSON cannot hold.  A
+    list, tuple or dict cell raises TypeError.  Duplicate field names raise
+    ValueError before the file is opened; a row whose length differs from
+    `fields` raises ValueError when it is reached, leaving the file cut
+    short.  Both formats print floats as their shortest round-trip repr;
+    None is an empty CSV cell and JSON null.
     """
     if fmt == "csv":
         with open(path, "w", newline="") as fh:
@@ -345,10 +391,18 @@ def write_table(path, fields: Sequence[str], rows: Iterable, fmt: str = "csv") -
             w.writerow(fields)
             w.writerows(rows)
     elif fmt == "json":
-        records = [dict(zip(fields, row)) for row in rows]
+        template = _json_row_template(fields)
+        n = len(fields)
+        cell, other = _JSON_CELL.get, _json_other
         with open(path, "w") as fh:
-            json.dump(records, fh, indent=1)
-            fh.write("\n")
+            sep = "[\n"
+            for row in rows:
+                cells = tuple([cell(type(v), other)(v) for v in row])
+                if len(cells) != n:
+                    raise ValueError(f"row of {len(cells)} cells under {n} fields")
+                fh.write(sep + template % cells)
+                sep = ",\n"
+            fh.write("[]\n" if sep == "[\n" else "\n]\n")
     else:
         raise ValueError(f"unknown format {fmt!r}")
 

@@ -22,7 +22,7 @@ from importlib import resources
 
 from . import analytic, metrics
 from .analytic import DIFFICULTY_ONE_SCALE
-from .chain import write_table
+from .chain import finite_number, write_table
 from .sim import ConfigError, SimConfig, run
 
 OUTDIR_ENV = "BLOCKTIME_OUTDIR"
@@ -44,14 +44,25 @@ def _default_outdir():
 
 # ---- analytic ------------------------------------------------------------
 
+def _flag(name: str) -> str:
+    return "--lambda" if name == "lam" else f"--{name.replace('_', '-')}"
+
+
 def _need(args, names):
     vals = []
     for name in names:
         v = getattr(args, name)
         if v is None:
-            raise _UsageError(f"{args.formula} requires --{name.replace('_', '-')}")
+            raise _UsageError(f"{args.formula} requires {_flag(name)}")
+        if isinstance(v, float):
+            finite_number(v, _flag(name))
         vals.append(v)
     return vals
+
+
+def _json_number(x):
+    """`x`, or None when it is not finite: strict JSON has no NaN or Infinity."""
+    return x if math.isfinite(x) else None
 
 
 _FORMULAS = {
@@ -73,7 +84,7 @@ def cmd_analytic(args) -> int:
     names, fn = _FORMULAS[args.formula]
     value = fn(*_need(args, names))
     if args.format == "json":
-        print(json.dumps({"formula": args.formula, "value": value}))
+        print(json.dumps({"formula": args.formula, "value": _json_number(value)}))
     else:
         print(f"{value:.12g}")
     return 0
@@ -161,7 +172,7 @@ def cmd_race(args) -> int:
         print(json.dumps({
             "q": args.q, "k": args.k, "trials": args.trials, "seed": args.seed,
             "step_cap": step_cap, "estimate": estimate, "closed_form": closed,
-            "z": z, "note": note,
+            "z": _json_number(z), "note": note,
         }))
     else:
         print(f"race q={args.q:.12g} k={args.k} trials={args.trials} "
@@ -179,6 +190,8 @@ def cmd_race(args) -> int:
 def cmd_entropy(args) -> int:
     if args.lam is None:
         args.lam = 1.0 / 600.0
+    for name in ("lam", "step", "horizon"):
+        finite_number(getattr(args, name), _flag(name))
     curve = metrics.entropy_trajectory(args.lam, args.step, args.horizon)
     os.makedirs(args.outdir, exist_ok=True)
     path = os.path.join(args.outdir, f"entropy.{args.format}")

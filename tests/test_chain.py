@@ -1,9 +1,12 @@
 """Unit tests for block storage, timestamp rules, and retargeting."""
 
 import csv
+import json
+import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blocktime.chain import (
@@ -21,6 +24,7 @@ from blocktime.chain import (
     select_tip,
     validate_timestamp,
     write_blocks_csv,
+    write_table,
 )
 
 RULES = ConsensusRules()
@@ -342,3 +346,64 @@ class TestChainDump:
         store, (a, b, *_rest) = fig2_store()
         with pytest.raises(MissingParent):
             blocks_to_rows([store.get(0), b])
+
+
+def _json_dump_reference(path, fields, rows):
+    """The generic-encoder JSON writer that `write_table` must match byte for byte."""
+    records = [dict(zip(fields, row)) for row in rows]
+    with open(path, "w") as fh:
+        json.dump(records, fh, indent=1)
+        fh.write("\n")
+
+
+# quotes, backslashes, control characters, a template's own `%`, non-ASCII,
+# line separators and astral characters, plus anything else hypothesis picks
+_awkward_text = st.text(st.one_of(
+    st.sampled_from('"\\\x00\x08\x1f\x7f%\u00e9\u20ac\u2028\U0001f600'),
+    st.characters(),
+), max_size=8)
+
+_json_cells = st.one_of(
+    st.integers(-2**70, 2**70),
+    st.floats(),  # NaN and both infinities included
+    st.sampled_from([-0.0, 5e-324, 1e300, math.nan, math.inf, -math.inf]),
+    st.none(),
+    st.booleans(),
+    st.floats().map(np.float64),
+    _awkward_text,
+)
+
+
+@st.composite
+def _tables(draw):
+    fields = draw(st.lists(_awkward_text, unique=True, max_size=5))
+    row = st.lists(_json_cells, min_size=len(fields), max_size=len(fields))
+    return fields, draw(st.lists(row, max_size=6))
+
+
+class TestWriteTableJson:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(_tables())
+    @example(([], []))
+    @example(([], [[], []]))
+    @example((["id"], []))
+    def test_same_bytes_as_json_dump(self, tmp_path_factory, table):
+        fields, rows = table
+        d = tmp_path_factory.mktemp("json")
+        _json_dump_reference(d / "ref.json", fields, rows)
+        write_table(d / "new.json", fields, rows, "json")
+        assert (d / "new.json").read_bytes() == (d / "ref.json").read_bytes()
+
+    @pytest.mark.parametrize("cell", [np.int64(3), (1, 2)], ids=["np.int64", "tuple"])
+    def test_unsupported_cell_raises_type_error(self, tmp_path, cell):
+        with pytest.raises(TypeError):
+            write_table(tmp_path / "t.json", ("a", "b"), [[1, cell]], "json")
+
+    def test_short_row_raises_value_error(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_table(tmp_path / "t.json", ("a", "b"), [[1, 2], [3]], "json")
+
+    def test_duplicate_field_raises_value_error(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_table(tmp_path / "t.json", ("a", "a"), [[1, 2]], "json")
+        assert not (tmp_path / "t.json").exists()

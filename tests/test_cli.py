@@ -17,6 +17,13 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
+def strict_json(text):
+    """json.loads that refuses the NaN / Infinity / -Infinity literals."""
+    def refuse(name):
+        raise ValueError(f"non-standard JSON literal {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
 class TestAnalyticCommand:
     def test_entropy_peak(self, capsys):
         code, out, _ = run_cli(capsys, "analytic", "entropy-peak", "--lambda", "0.00166667")
@@ -63,6 +70,35 @@ class TestAnalyticCommand:
         assert code == 1
         assert "positive" in err
 
+    @pytest.mark.parametrize("flags, name", [
+        (["fork", "--lambda", "nan", "--tau", "1"], "--lambda"),
+        (["fork", "--lambda", "0.001", "--tau", "inf"], "--tau"),
+        (["catchup", "--q", "nan", "--k", "6"], "--q"),
+        (["entropy", "--p=-inf"], "--p"),
+    ], ids=["lambda-nan", "tau-inf", "q-nan", "p-neg-inf"])
+    def test_bad_numbers_exit_one(self, capsys, flags, name):
+        code, out, err = run_cli(capsys, "analytic", *flags, "--format", "json")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert name in err
+
+    def test_missing_lambda_names_the_flag(self, capsys):
+        code, _, err = run_cli(capsys, "analytic", "fork", "--tau", "1")
+        assert code == 1
+        assert "--lambda" in err
+
+    def test_json_non_finite_value_is_null(self, capsys):
+        # finite inputs whose product overflows: JSON mode prints null,
+        # text mode still prints inf
+        flags = ("analytic", "expected-trials", "--hashrate", "1e308", "--t", "1e308")
+        code, out, _ = run_cli(capsys, *flags, "--format", "json")
+        assert code == 0
+        assert strict_json(out) == {"formula": "expected-trials", "value": None}
+        code, out, _ = run_cli(capsys, *flags)
+        assert code == 0
+        assert out == "inf\n"
+
 
 class TestRaceCommand:
     def test_small_run(self, capsys):
@@ -94,6 +130,17 @@ class TestRaceCommand:
     def test_bad_q(self, capsys):
         code, _, err = run_cli(capsys, "race", "--q", "1.5", "--k", "2")
         assert code == 1
+
+    def test_json_infinite_z_is_null(self, capsys):
+        flags = ("race", "--q", "0.6", "--k", "2", "--trials", "10", "--step-cap", "1")
+        code, out, _ = run_cli(capsys, *flags, "--format", "json")
+        assert code == 0
+        doc = strict_json(out)
+        assert doc["z"] is None
+        assert (doc["estimate"], doc["closed_form"]) == (0.0, 1.0)
+        code, out, _ = run_cli(capsys, *flags)
+        assert code == 0
+        assert "  z           = inf\n" in out
 
     @pytest.mark.parametrize("flags, name", [
         (["--q", "0.3", "--step-cap", "0"], "step-cap"),
@@ -138,6 +185,22 @@ class TestEntropyCommand:
     def test_bad_step(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "entropy", "--outdir", str(tmp_path), "--step", "0")
         assert code == 1
+
+    @pytest.mark.parametrize("flags, name", [
+        (["--horizon", "inf"], "--horizon"),
+        (["--horizon", "nan"], "--horizon"),
+        (["--step", "inf"], "--step"),
+        (["--step", "nan"], "--step"),
+        (["--lambda", "nan"], "--lambda"),
+        (["--lambda", "inf"], "--lambda"),
+    ], ids=["horizon-inf", "horizon-nan", "step-inf", "step-nan", "lambda-nan", "lambda-inf"])
+    def test_bad_numbers_exit_one(self, capsys, tmp_path, flags, name):
+        code, out, err = run_cli(capsys, "entropy", "--outdir", str(tmp_path / "out"), *flags)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert name in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestSimulateCommand:
