@@ -371,7 +371,7 @@ def write_table(path, fields: Sequence[str], rows: Iterable, fmt: str = "csv") -
     fmt "csv" writes a header row and LF line endings.  fmt "json" writes
     the bytes `json.dump([dict(zip(fields, row)) ...], fh, indent=1)` plus a
     final newline would, without that encoder: one row template per table
-    (`' {\n  "id": %s,\n  "parent": %s, ...\n }'`, keys spelled by
+    (`' {\\n  "id": %s,\\n  "parent": %s, ...\\n }'`, keys spelled by
     `encode_basestring_ascii`, `' {}'` for no fields) is filled per row and
     the array is streamed to the file row by row, so the table's text is
     never held whole.  Each cell is spelled by its own type: an exact int or
