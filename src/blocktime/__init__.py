@@ -24,10 +24,12 @@ from .chain import (
     DuplicateBlock,
     MissingParent,
     TipChange,
+    TipView,
     UnknownBlock,
     make_genesis,
     median_past_time,
     retarget,
+    select_tip,
     validate_timestamp,
 )
 from .metrics import (

@@ -41,10 +41,15 @@ def theta_from_target(target: int) -> float:
 
 
 def theta_from_difficulty(difficulty: float) -> float:
-    """Per-hash success probability 1 / (difficulty * 2^32)."""
+    """Per-hash success probability 1 / (difficulty * 2^32).  ValueError
+    unless it lies in (0, 1]: it exceeds 1 below difficulty 2^-32 and
+    underflows to 0 near the float maximum."""
     if difficulty <= 0:
         raise ValueError("difficulty must be positive")
-    return 1.0 / (difficulty * DIFFICULTY_ONE_SCALE)
+    theta = 1.0 / (difficulty * DIFFICULTY_ONE_SCALE)
+    if not 0 < theta <= 1:
+        raise ValueError(f"difficulty {difficulty!r} gives theta {theta!r} outside (0, 1]")
+    return theta
 
 
 def arrival_rate(hashrate: float, theta: float) -> float:

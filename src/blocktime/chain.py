@@ -1,13 +1,14 @@
 """Block DAG storage and consensus bookkeeping.
 
 A ChainStore holds a tree of hash-pointer records rooted at genesis, with
-cumulative work per block and a selected tip.  Sealing makes every block
-immutable, so its height, cumulative work and median-past-time are fixed
-once it is stored; the simulator keeps one store for the whole network and
-each node's chain is only a choice of tip inside it.  The tip rule
-(`select_tip`) is most-cumulative-work with a first-seen tie break, so
-replaying the same insertion sequence always reproduces the same tip at
-every step.
+cumulative work per block.  Sealing makes every block immutable, so its
+height, cumulative work and median-past-time are fixed once it is stored,
+and the store holds no tip.  A TipView is one participant's accepted ids
+and tip inside a store, and the only code that keeps a tip; the simulator
+shares one store across the network and each node is a TipView over it.
+The tip rule (`select_tip`) is most-cumulative-work with a first-seen tie
+break, so replaying the same acceptance sequence always reproduces the
+same tip at every step.
 
 Also provided: the timestamp acceptance rules (median-past-time and the
 two-hour future bound), the periodic difficulty retarget rule, the
@@ -142,7 +143,7 @@ class TipChange:
 
 
 class ChainStore:
-    """All known blocks plus the selected tip.
+    """All known blocks and their cumulative work.
 
     Insertion is parents-first: an orphan raises MissingParent and it is
     the caller's job to buffer it until the parent shows up (the simulator
@@ -155,7 +156,7 @@ class ChainStore:
             raise ChainError("genesis must have height 0 and no parent")
         self.blocks: dict[int, Block] = {genesis.id: genesis}
         self.work: dict[int, float] = {genesis.id: genesis.difficulty}
-        self.tip: int = genesis.id
+        self.genesis: int = genesis.id
         # median_past_time results by window, then parent id: a block's
         # ancestors never change, so neither does its median
         self._mpt: defaultdict[int, dict[int, int]] = defaultdict(dict)
@@ -169,8 +170,8 @@ class ChainStore:
         except KeyError:
             raise UnknownBlock(f"unknown block id {block_id}") from None
 
-    def insert(self, block: Block) -> TipChange:
-        """Store a block, record its cumulative work, re-select the tip."""
+    def insert(self, block: Block) -> None:
+        """Store a block and record its cumulative work."""
         if block.id in self.blocks:
             raise DuplicateBlock(f"block id {block.id} already present")
         if block.parent not in self.blocks:
@@ -185,9 +186,6 @@ class ChainStore:
 
         self.blocks[block.id] = block
         self.work[block.id] = self.work[block.parent] + block.difficulty
-        tc = select_tip(self, self.tip, block.id)
-        self.tip = tc.new_tip
-        return tc
 
     def fork_point(self, a: int, b: int) -> int:
         """Deepest common ancestor of two blocks."""
@@ -200,18 +198,6 @@ class ChainStore:
             ba = self.blocks[ba.parent]
             bb = self.blocks[bb.parent]
         return ba.id
-
-    def path_from_genesis(self, block_id: Optional[int] = None) -> list[int]:
-        """Block ids from genesis to the given block (default: the tip)."""
-        b = self.get(self.tip if block_id is None else block_id)
-        path = []
-        while True:
-            path.append(b.id)
-            if b.parent is None:
-                break
-            b = self.blocks[b.parent]
-        path.reverse()
-        return path
 
 
 def select_tip(store: ChainStore, tip: int, candidate: int) -> TipChange:
@@ -229,6 +215,25 @@ def select_tip(store: ChainStore, tip: int, candidate: int) -> TipChange:
     if blocks[candidate].parent != tip:
         depth = blocks[tip].height - blocks[store.fork_point(tip, candidate)].height
     return TipChange(tip, candidate, depth)
+
+
+class TipView:
+    """One participant's view of a store: the ids it has accepted (genesis
+    from the start) and the tip the tip rule chose among them."""
+
+    __slots__ = ("store", "known", "tip")
+
+    def __init__(self, store: ChainStore):
+        self.store = store
+        self.known: set[int] = {store.genesis}
+        self.tip: int = store.genesis
+
+    def accept(self, block_id: int) -> TipChange:
+        """Accept a stored block and move the tip as `select_tip` says."""
+        self.known.add(block_id)
+        tc = select_tip(self.store, self.tip, block_id)
+        self.tip = tc.new_tip
+        return tc
 
 
 def median_past_time(store: ChainStore, parent_id: int, window: int = 11) -> int:
@@ -405,7 +410,3 @@ def write_table(path, fields: Sequence[str], rows: Iterable, fmt: str = "csv") -
             fh.write("[]\n" if sep == "[\n" else "\n]\n")
     else:
         raise ValueError(f"unknown format {fmt!r}")
-
-
-def write_blocks_csv(blocks: Iterable[Block], path) -> None:
-    write_table(path, BLOCK_CSV_FIELDS, blocks_to_rows(blocks))

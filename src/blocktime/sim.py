@@ -3,13 +3,15 @@
 Miners generate blocks as exponential processes whose rates follow their
 hash-rate share and the difficulty prescribed by their current tip.  Every
 found block goes once into the one ChainStore the whole network shares,
-which fixes its height, cumulative work and median-past-time, and then
-propagates to every other node with configurable delay.  A node is a view
-of that store (the ids it has accepted, its tip and its pending orphans):
-it validates timestamps against its own (possibly skewed) clock, accepts
-the block and re-selects its tip with the store's tip rule.  Miners
-re-anchor and redraw their next discovery whenever their node's tip moves, which by memorylessness is
-distributionally identical to continuing the pending draw.
+which fixes its height, cumulative work and median-past-time; a retarget
+boundary block's successor difficulty is recorded right then.  The block
+then propagates to every other node with configurable delay.  A node is a
+TipView of that store plus a clock offset and its pending orphans: it
+validates timestamps against its own (possibly skewed) clock and accepts
+the block, which moves its tip by the tip rule.  Miner i mines on node i
+and redraws its next discovery whenever that node's tip moves, which by
+memorylessness is distributionally identical to continuing the pending
+draw.
 
 A run is a pure function of (config, seed): one RNG stream is consumed in
 event order and event ties are broken by a global sequence number, so two
@@ -30,16 +32,15 @@ import numpy as np
 from .analytic import theta_from_difficulty
 from .chain import (
     BLOCK_CSV_FIELDS,
-    GENESIS_ID,
     Block,
     ChainStore,
     ConsensusRules,
+    TipView,
     blocks_to_rows,
     finite_number,
     make_genesis,
     median_past_time,
     retarget,
-    select_tip,
     validate_timestamp,
     whole_number,
     write_table,
@@ -204,8 +205,10 @@ class SimConfig:
             raise ConfigError("need at least one node per miner")
         if self.delay.kind == "per_pair" and len(self.delay.matrix) != self.nodes:
             raise ConfigError("per-pair delay matrix size must match node count")
-        if self.initial_difficulty <= 0:
-            raise ConfigError("initial difficulty must be positive")
+        try:
+            theta_from_difficulty(self.initial_difficulty)
+        except ValueError as exc:
+            raise ConfigError(f"initial difficulty: {exc}") from None
         if self.nominal_hashrate <= 0:
             raise ConfigError("nominal hash rate must be positive")
         if not 0 <= self.seed < 2**64:
@@ -382,19 +385,17 @@ class SimTrace:
         return written
 
 
-class _Node:
-    """One node's view of the shared store: the ids it has accepted, its
-    tip, and the blocks parked until their parent is accepted."""
+class _Node(TipView):
+    """One node: its view of the shared store, its clock offset, and the
+    blocks parked until their parent is accepted."""
 
-    __slots__ = ("index", "known", "tip", "clock_offset", "pending", "miners")
+    __slots__ = ("index", "clock_offset", "pending")
 
-    def __init__(self, index: int, clock_offset: float):
+    def __init__(self, store: ChainStore, index: int, clock_offset: float):
+        super().__init__(store)
         self.index = index
-        self.known: set[int] = {GENESIS_ID}
-        self.tip = GENESIS_ID
         self.clock_offset = clock_offset
         self.pending: dict[int, list[Block]] = {}
-        self.miners: list[int] = []
 
 
 def run(config: SimConfig) -> SimTrace:
@@ -410,19 +411,15 @@ class _Engine:
         self.rules = config.rules
         self.store = ChainStore(make_genesis(config.initial_difficulty))
         self.blocks = self.store.blocks  # by id, in id order
-        self.children: dict[int, list[int]] = defaultdict(list)
         self.nodes: list[_Node] = []
         for i in range(config.nodes):
             offset = config.miners[i].clock_offset if i < len(config.miners) else 0.0
-            self.nodes.append(_Node(i, offset))
-        for i, _m in enumerate(config.miners):
-            self.nodes[i].miners.append(i)
-        self.miner_node = list(range(len(config.miners)))
+            self.nodes.append(_Node(self.store, i, offset))
         self.versions = [0] * len(config.miners)
         self.heap: list = []
         self.seq = itertools.count()
         self.draining = False
-        # retargeted difficulty per boundary block: a pure function of the DAG
+        # retargeted difficulty per stored boundary block
         self.next_diff: dict[int, float] = {}
         self.tip_events: list[TipEvent] = []
         self.rejections: list[Rejection] = []
@@ -437,22 +434,7 @@ class _Engine:
 
     def child_difficulty(self, tip: Block) -> float:
         """Difficulty prescribed for the next block on this tip's branch."""
-        if (not self.cfg.retarget_enabled
-                or tip.height == 0
-                or tip.height % self.rules.retarget_interval != 0):
-            return tip.difficulty
-        cached = self.next_diff.get(tip.id)
-        if cached is not None:
-            return cached
-        # full-window span: from the previous boundary block to this one,
-        # i.e. retarget_interval whole intervals, no off-by-one
-        first = tip
-        for _ in range(self.rules.retarget_interval):
-            first = self.blocks[first.parent]
-        d = retarget(tip.difficulty, first.timestamp, tip.timestamp, self.rules)
-        self.next_diff[tip.id] = d
-        self.difficulty_history.append((tip.height, d))
-        return d
+        return self.next_diff.get(tip.id, tip.difficulty)
 
     def miner_rate(self, miner_idx: int, tip: Block) -> float:
         h = self.cfg.nominal_hashrate
@@ -471,7 +453,7 @@ class _Engine:
         pending for this miner.
         """
         self.versions[miner_idx] += 1
-        tip = self.blocks[self.nodes[self.miner_node[miner_idx]].tip]
+        tip = self.blocks[self.nodes[miner_idx].tip]
         rate = self.miner_rate(miner_idx, tip)
         dt = self.rng.exponential(1.0 / rate)
         heapq.heappush(self.heap, (
@@ -480,18 +462,14 @@ class _Engine:
         ))
 
     def on_tip_change(self, node: _Node, now: float) -> None:
-        if self.draining:
-            return
-        for m in node.miners:
-            self.schedule_find(m, now)
+        if not self.draining and node.index < len(self.cfg.miners):
+            self.schedule_find(node.index, now)
 
     def accept(self, node: _Node, block_id: int, now: float) -> bool:
         """Add a stored block to the node's view; True when its tip moved."""
-        node.known.add(block_id)
-        tc = select_tip(self.store, node.tip, block_id)
+        tc = node.accept(block_id)
         if not tc.changed:
             return False
-        node.tip = tc.new_tip
         self.tip_events.append(TipEvent(now, node.index, tc.new_tip, tc.reorg_depth))
         return True
 
@@ -501,7 +479,7 @@ class _Engine:
         if self.draining or version != self.versions[miner_idx]:
             return
         spec = self.cfg.miners[miner_idx]
-        node = self.nodes[self.miner_node[miner_idx]]
+        node = self.nodes[miner_idx]
         parent = self.blocks[parent_id]
         mpt = median_past_time(self.store, parent_id, self.rules.mpt_window)
         local = now + spec.clock_offset
@@ -517,10 +495,15 @@ class _Engine:
             found_at=now,
         )
         self.store.insert(block)
-        self.children[parent_id].append(block.id)
-        if (self.cfg.retarget_enabled and block.height > 0
-                and block.height % self.rules.retarget_interval == 0):
-            self.child_difficulty(block)  # compute and record the retarget now
+        if self.cfg.retarget_enabled and block.height % self.rules.retarget_interval == 0:
+            # full-window span: from the previous boundary block to this one,
+            # i.e. retarget_interval whole intervals, no off-by-one
+            first = block
+            for _ in range(self.rules.retarget_interval):
+                first = self.blocks[first.parent]
+            d = retarget(block.difficulty, first.timestamp, block.timestamp, self.rules)
+            self.next_diff[block.id] = d
+            self.difficulty_history.append((block.height, d))
 
         # own node accepts its own block without re-validation
         if self.accept(node, block.id, now):
@@ -598,8 +581,12 @@ class _Engine:
         while bid is not None:
             canonical.add(bid)
             bid = self.blocks[bid].parent
+        kids_of = defaultdict(list)  # parents in first-kid id order
+        for b in self.blocks.values():
+            if b.parent is not None:
+                kids_of[b.parent].append(b.id)
         episodes = []
-        for parent_id, kids in self.children.items():
+        for kids in kids_of.values():
             if len(kids) < 2:
                 continue
             kids = sorted(kids, key=lambda i: self.blocks[i].found_at)

@@ -42,7 +42,11 @@ class TestThetaFromDifficulty:
     def test_large(self):
         assert an.theta_from_difficulty(2**32) == 2.0**-64
 
-    @pytest.mark.parametrize("bad", [0, -1.5])
+    def test_smallest_difficulty_is_certainty(self):
+        assert an.theta_from_difficulty(2.0**-32) == 1.0
+
+    # theta must lie in (0, 1]: below 2^-32 it exceeds 1, at 1e308 it underflows to 0
+    @pytest.mark.parametrize("bad", [0, -1.5, 2.0**-33, 1e-12, 1e308, math.inf, math.nan])
     def test_domain(self, bad):
         with pytest.raises(ValueError):
             an.theta_from_difficulty(bad)

@@ -10,12 +10,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blocktime.chain import (
+    BLOCK_CSV_FIELDS,
     Block,
     ChainError,
     ChainStore,
     ConsensusRules,
     DuplicateBlock,
     MissingParent,
+    TipView,
     UnknownBlock,
     blocks_to_rows,
     make_genesis,
@@ -23,7 +25,6 @@ from blocktime.chain import (
     retarget,
     select_tip,
     validate_timestamp,
-    write_blocks_csv,
     write_table,
 )
 
@@ -115,29 +116,43 @@ def fig2_store():
     return store, (a, b, c, c2, d)
 
 
+def arrive(store, view, blk):
+    """Store a block and let the view accept it: one participant hearing
+    blocks in arrival order."""
+    store.insert(blk)
+    return view.accept(blk.id)
+
+
+def path_to(store, bid):
+    """Block ids from genesis to `bid`."""
+    return _ancestors(store.blocks, bid)[::-1]
+
+
 class TestInsertAndTip:
     def test_extension(self):
         store, (a, b, c, c2, d) = fig2_store()
-        tc = store.insert(a)
+        tc = arrive(store, TipView(store), a)
         assert tc.changed and tc.new_tip == a.id and tc.reorg_depth == 0
 
     def test_first_seen_tie_break(self):
         store, (a, b, c, c2, d) = fig2_store()
+        view = TipView(store)
         for blk in (a, b, c):
-            store.insert(blk)
-        tc = store.insert(c2)  # equal work, seen later
+            arrive(store, view, blk)
+        tc = arrive(store, view, c2)  # equal work, seen later
         assert not tc.changed
-        assert store.tip == c.id
+        assert view.tip == c.id
 
     def test_depth_one_reorg(self):
         store, (a, b, c, c2, d) = fig2_store()
+        view = TipView(store)
         for blk in (a, b):
-            store.insert(blk)
-        store.insert(c2)  # this node heard C' first
-        assert store.tip == c2.id
-        store.insert(c)   # equal work, stays on C'
-        assert store.tip == c2.id
-        tc = store.insert(d)  # D extends C: more work, switch branches
+            arrive(store, view, blk)
+        arrive(store, view, c2)  # this node heard C' first
+        assert view.tip == c2.id
+        arrive(store, view, c)   # equal work, stays on C'
+        assert view.tip == c2.id
+        tc = arrive(store, view, d)  # D extends C: more work, switch branches
         assert tc.changed and tc.new_tip == d.id and tc.reorg_depth == 1
 
     def test_duplicate(self):
@@ -159,39 +174,76 @@ class TestInsertAndTip:
 
     def test_work_never_regresses(self):
         store, blocks = fig2_store()
-        last_work = store.work[store.tip]
+        view = TipView(store)
+        last_work = store.work[view.tip]
         for blk in blocks:
-            store.insert(blk)
-            assert store.work[store.tip] >= last_work
-            last_work = store.work[store.tip]
+            arrive(store, view, blk)
+            assert store.work[view.tip] >= last_work
+            last_work = store.work[view.tip]
 
     def test_work_strictly_increasing_along_path(self):
         store, blocks = fig2_store()
+        view = TipView(store)
         for blk in blocks:
-            store.insert(blk)
-        path = store.path_from_genesis()
-        works = [store.work[i] for i in path]
+            arrive(store, view, blk)
+        works = [store.work[i] for i in path_to(store, view.tip)]
         assert all(x < y for x, y in zip(works, works[1:]))
 
     def test_replay_gives_identical_tips(self):
         _, blocks = fig2_store()
         def tips(seq):
             store = ChainStore(make_genesis(1.0))
-            return [store.insert(b).new_tip for b in seq]
+            view = TipView(store)
+            return [arrive(store, view, b).new_tip for b in seq]
         seq = [blocks[0], blocks[1], blocks[3], blocks[2], blocks[4]]
         assert tips(seq) == tips(seq)
 
     def test_reorg_prefix_stability(self):
         # a depth-k reorg replaces exactly the last k entries of the path
         store, (a, b, c, c2, d) = fig2_store()
+        view = TipView(store)
         for blk in (a, b, c2, c):
-            store.insert(blk)
-        before = store.path_from_genesis()
-        tc = store.insert(d)
-        after = store.path_from_genesis()
+            arrive(store, view, blk)
+        before = path_to(store, view.tip)
+        tc = arrive(store, view, d)
+        after = path_to(store, view.tip)
         k = tc.reorg_depth
         assert before[:-k] == after[:len(before) - k]
         assert after[:len(before) - k] + [c.id, d.id] == after
+
+
+class TestTipView:
+    def test_starts_at_genesis(self):
+        store, _ = fig2_store()
+        view = TipView(store)
+        assert view.known == {0} and view.tip == 0
+
+    def test_accept_grows_known_and_returns_select_tip(self):
+        store, (a, b, c, c2, d) = fig2_store()
+        for blk in (a, b, c, c2, d):
+            store.insert(blk)
+        view = TipView(store)
+        for blk in (a, b, c2, c, d):
+            expected = select_tip(store, view.tip, blk.id)
+            known = view.known | {blk.id}
+            assert view.accept(blk.id) == expected
+            assert view.known == known
+            assert view.tip == expected.new_tip
+
+    def test_views_of_one_store_are_independent(self):
+        # the store holds no tip; two views that heard the siblings in
+        # opposite orders keep different first-seen tips
+        store, (a, b, c, c2, d) = fig2_store()
+        for blk in (a, b, c, c2):
+            assert store.insert(blk) is None
+        assert not hasattr(store, "tip")
+        first, second = TipView(store), TipView(store)
+        for bid in (a.id, b.id, c.id, c2.id):
+            first.accept(bid)
+        for bid in (a.id, b.id, c2.id, c.id):
+            second.accept(bid)
+        assert (first.tip, second.tip) == (c.id, c2.id)
+        assert first.known == second.known == {0, a.id, b.id, c.id, c2.id}
 
 
 @st.composite
@@ -226,10 +278,10 @@ def _ancestors(blocks, bid):
 @settings(deadline=None, database=None)
 @given(trees_in_insertion_order())
 def test_tip_rule_on_random_trees(tree):
-    """Both users of the tip rule -- a ChainStore fed in arrival order and a
-    view over a store that already holds every block, as a simulated node
-    is -- keep the earliest-accepted block of most work as the tip, and a
-    tip change reports old tip height - fork point height."""
+    """Both shapes of a TipView -- over a store fed in arrival order and
+    over a store that already holds every block, as a simulated node is --
+    keep the earliest-accepted block of most work as the tip, and a tip
+    change reports old tip height - fork point height."""
     blocks, order = tree
     work = {0: 1.0}
     shared = ChainStore(blocks[0])
@@ -237,15 +289,15 @@ def test_tip_rule_on_random_trees(tree):
         work[bid] = work[blocks[bid].parent] + blocks[bid].difficulty
         shared.insert(blocks[bid])
     store = ChainStore(blocks[0])
-    view_tip = 0
+    view, node = TipView(store), TipView(shared)
     accepted = [0]
     for bid in order:
-        tc = store.insert(blocks[bid])
-        assert select_tip(shared, view_tip, bid) == tc
-        view_tip = tc.new_tip
+        tc = arrive(store, view, blocks[bid])
+        assert node.accept(bid) == tc
         accepted.append(bid)
+        assert view.known == node.known == set(accepted)
         best = max(work[i] for i in accepted)
-        assert store.tip == tc.new_tip == next(i for i in accepted if work[i] == best)
+        assert view.tip == node.tip == tc.new_tip == next(i for i in accepted if work[i] == best)
         if tc.changed:
             common = set(_ancestors(blocks, tc.new_tip))
             fork = next(i for i in _ancestors(blocks, tc.old_tip) if i in common)
@@ -331,7 +383,7 @@ class TestChainDump:
         for blk in blocks:
             store.insert(blk)
         path = tmp_path / "blocks.csv"
-        write_blocks_csv(allb, path)
+        write_table(path, BLOCK_CSV_FIELDS, blocks_to_rows(allb))
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 6

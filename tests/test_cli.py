@@ -70,6 +70,12 @@ class TestAnalyticCommand:
         assert code == 1
         assert "positive" in err
 
+    def test_difficulty_below_one_hash_exits_one(self, capsys):
+        code, out, err = run_cli(capsys, "analytic", "theta-difficulty", "--difficulty", "1e-12")
+        assert code == 1
+        assert out == ""
+        assert "theta" in err
+
     @pytest.mark.parametrize("flags, name", [
         (["fork", "--lambda", "nan", "--tau", "1"], "--lambda"),
         (["fork", "--lambda", "0.001", "--tau", "inf"], "--tau"),
@@ -282,7 +288,9 @@ class TestSimulateCommand:
         ("nominal_hashrate", math.inf),
         ("delay", {"fixed": math.nan}),
         ("rules", {"mpt_window": 2.5}),
-    ], ids=["seed", "stop.blocks", "nominal_hashrate", "delay.fixed", "rules.mpt_window"])
+        ("initial_difficulty", 1e308),
+    ], ids=["seed", "stop.blocks", "nominal_hashrate", "delay.fixed", "rules.mpt_window",
+            "initial_difficulty"])
     def test_bad_numbers_exit_one(self, capsys, tmp_path, key, value):
         d = json.loads((resources.files("blocktime") / "scenarios" / "baseline.json").read_text())
         d[key] = value

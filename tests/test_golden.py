@@ -1,7 +1,8 @@
 """Golden bytes: the sha256 of every file the CLI writes for the bundled
 fig2, baseline and retarget scenarios (CSV and JSON, plus reports.csv for
-baseline) and for the entropy curve at its defaults; and the exact floats
-race_monte_carlo returns for a set of (q, k, trials, seed, step_cap).
+baseline) and for the entropy curve at its defaults; the same for a small
+inline network that reaches paths no bundled scenario does; and the exact
+floats race_monte_carlo returns for a set of (q, k, trials, seed, step_cap).
 
 Criterion 9 only compares two runs of the same code; these digests pin the
 output of an earlier commit, so a refactor that changes any output byte
@@ -13,11 +14,14 @@ recorded with the int8 prefix-sum kernel that preceded the packed tables.
 """
 
 import hashlib
+import json
+from collections import Counter
 
 import pytest
 
 from blocktime.cli import main
 from blocktime.metrics import race_monte_carlo
+from blocktime.sim import SimConfig, run
 
 # name: (argv without --outdir, {file name: sha256})
 GOLDEN = {
@@ -98,6 +102,65 @@ def test_output_bytes(name, tmp_path, capsys):
     capsys.readouterr()
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     assert written == digests
+
+
+# Per-pair delays; a fixed_skew miner 7260 s ahead, whose blocks node 0,
+# 30 s away, rejects as "future"; retargets every 8 blocks across a
+# hash-rate step, so boundary blocks land on competing branches.
+INLINE_CONFIG = {
+    "miners": [
+        {"id": 0, "share": 0.45},
+        {"id": 1, "share": 0.35, "clock_offset": -120.0},
+        {"id": 2, "share": 0.2, "strategy": {"fixed_skew": 7260.0}},
+    ],
+    "nodes": 4,
+    "delay": {"per_pair": [
+        [0.0, 90.0, 20.0, 150.0],
+        [60.0, 0.0, 200.0, 40.0],
+        [30.0, 180.0, 0.0, 75.0],
+        [120.0, 45.0, 10.0, 0.0],
+    ]},
+    "rules": {"retarget_interval": 8},
+    "initial_difficulty": 1.0,
+    "nominal_hashrate": 2**32 / 600,
+    "hashrate_steps": [[20, 3.0]],
+    "stop": {"blocks": 64},
+    "seed": 2,
+}
+
+INLINE_GOLDEN = {
+    "csv": {
+        "blocks.csv": "54bfcea0a5c455563d84a1126c234676ae445d2c893857c2abed178f71f7c01f",
+        "difficulty.csv": "f013fef78ab59c58c788362fd7ca3c6464a0478c68d8725e58bcc70b9bc04bf6",
+        "forks.csv": "d8cba6fe0bd0c0f62c0e1e826c9ae19d2a263abd3b9eedd75dfd4b543a1ccab5",
+        "tip_changes.csv": "50d9dec5e353c65e931501c0633f280a337ff2aad5d2769072fa78c7976bdbac",
+    },
+    "json": {
+        "blocks.json": "f4ca41f31026cf061ade78f59dba0fb2b584d2fed34f6fd82cb82dc28dae720e",
+        "difficulty.json": "c0e8b4190400dea1d49ace3d23b3ba70b98a1f6145fb87436d873fff1fa27d00",
+        "forks.json": "8e38f3bc917662d20e0fdabf0213d8eace63e22ccbcbf5ef299683f1cdd0851c",
+        "tip_changes.json": "a8b2fb6b55a301796780d84e7b3cffab1ba98c3e1897781932468a7c2316fdec",
+    },
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(INLINE_GOLDEN))
+def test_inline_config_bytes(fmt, tmp_path, capsys):
+    config = tmp_path / "inline.json"
+    config.write_text(json.dumps(INLINE_CONFIG))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(config), "--format", fmt, "--outdir", str(out)]) == 0
+    capsys.readouterr()
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert written == INLINE_GOLDEN[fmt]
+
+
+def test_inline_config_reaches_its_paths():
+    trace = run(SimConfig.from_dict(INLINE_CONFIG))
+    assert {r.reason for r in trace.rejections} == {"future"}
+    boundary = Counter(b.height for b in trace.blocks if b.height and b.height % 8 == 0)
+    assert max(boundary.values()) >= 2  # rival boundary blocks at one height
+    assert len(trace.difficulty_history) - 1 == sum(boundary.values())
 
 
 # (q, k, trials, seed, step_cap): the exact estimate

@@ -5,8 +5,11 @@ import math
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from blocktime.sim import ConfigError, DelayModel, SimConfig, StopRule, run
+from blocktime.chain import ChainStore, retarget
+from blocktime.sim import ConfigError, DelayModel, ForkEpisode, SimConfig, StopRule, run
 
 H600 = 2**32 / 600  # hash rate putting difficulty-1 arrivals at 1/600 per second
 
@@ -68,6 +71,11 @@ class TestConfigValidation:
             cfg(seed=-1)
         with pytest.raises(ConfigError):
             cfg(seed=2**64)
+
+    @pytest.mark.parametrize("difficulty", [0.0, 1e-12, 1e308])
+    def test_initial_difficulty_gives_theta_in_unit_interval(self, difficulty):
+        with pytest.raises(ConfigError):
+            cfg(initial_difficulty=difficulty)
 
     def test_bad_strategy(self):
         with pytest.raises(ConfigError):
@@ -324,3 +332,101 @@ def test_tip_history_blocks_all_known():
     assert all(e.new_tip in ids for e in tr.tip_events)
     for ep in tr.fork_episodes:
         assert set(ep.blocks) <= ids
+
+
+@st.composite
+def small_configs(draw):
+    """Small networks: 1-3 miners, up to 5 nodes, fixed or per-pair delays,
+    skewed clocks and stamps (some beyond the future bound), retargets every
+    4 or 8 blocks, an optional hash-rate step, block or duration stops."""
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(m, 5))
+    weights = draw(st.lists(st.integers(1, 4), min_size=m, max_size=m))
+    miners = []
+    for i, w in enumerate(weights):
+        miner = {"id": i, "share": w / sum(weights),
+                 "clock_offset": draw(st.sampled_from([0.0, -150.0, 90.0]))}
+        if draw(st.booleans()):
+            miner["strategy"] = {"fixed_skew": draw(st.sampled_from([-3000.0, 7150.0, 7300.0]))}
+        miners.append(miner)
+    hops = st.sampled_from([5.0, 60.0, 240.0])
+    delay = draw(st.one_of(
+        st.builds(lambda tau: {"fixed": tau}, st.sampled_from([0.0, 20.0, 200.0])),
+        st.builds(lambda m: {"per_pair": [[0.0 if i == j else m[i][j] for j in range(n)]
+                                          for i in range(n)]},
+                  st.lists(st.lists(hops, min_size=n, max_size=n), min_size=n, max_size=n)),
+    ))
+    stop = draw(st.one_of(st.builds(lambda b: {"blocks": b}, st.integers(5, 40)),
+                          st.builds(lambda d: {"duration": d}, st.floats(3000.0, 20000.0))))
+    steps = draw(st.lists(st.tuples(st.integers(2, 20), st.sampled_from([0.5, 3.0])), max_size=1))
+    return SimConfig.from_dict({
+        "miners": miners, "nodes": n, "delay": delay,
+        "rules": {"retarget_interval": draw(st.sampled_from([4, 8]))},
+        "initial_difficulty": 1.0, "nominal_hashrate": H600, "stop": stop,
+        "seed": draw(st.integers(0, 2**32)), "retarget_enabled": draw(st.booleans()),
+        "hashrate_steps": steps,
+    })
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(small_configs())
+def test_trace_structure(config):
+    """The trace is consistent with the block DAG it records: tip events,
+    fork episodes, retargets and the final agreement all follow from
+    `trace.blocks` and the consensus rules."""
+    trace = run(config)
+    blocks = trace.blocks
+    store = ChainStore(blocks[0])
+    for b in blocks[1:]:
+        store.insert(b)
+
+    # replaying each node's tip events reaches its final tip; every move is
+    # to strictly more work and reports old tip height - fork point height
+    tips = [0] * config.nodes
+    for e in trace.tip_events:
+        old = tips[e.node]
+        assert store.work[e.new_tip] > store.work[old]
+        assert e.reorg_depth == blocks[old].height - blocks[store.fork_point(old, e.new_tip)].height
+        tips[e.node] = e.new_tip
+    assert tips == trace.final_tips
+
+    # one episode per parent with two or more children: parents in
+    # first-child id order, kids stable-sorted by discovery, episodes
+    # stable-sorted by window start, the first canonical kid wins
+    canonical = set(trace.canonical_path(0))
+    children: dict[int, list[int]] = {}
+    for b in blocks[1:]:
+        children.setdefault(b.parent, []).append(b.id)
+    episodes = []
+    for kids in children.values():
+        if len(kids) >= 2:
+            kids = sorted(kids, key=lambda i: blocks[i].found_at)
+            winner = next((k for k in kids if k in canonical), None)
+            episodes.append(ForkEpisode(blocks[kids[0]].found_at, tuple(kids), winner))
+    episodes.sort(key=lambda e: e.window_start)
+    assert trace.fork_episodes == episodes
+
+    # one retarget per stored boundary block, in id order, and each child
+    # mines at the difficulty its parent prescribes
+    rules = config.rules
+    history = [(0, config.initial_difficulty)]
+    next_diff: dict[int, float] = {}
+    for b in blocks[1:]:
+        parent = blocks[b.parent]
+        assert b.difficulty == next_diff.get(parent.id, parent.difficulty)
+        if config.retarget_enabled and b.height % rules.retarget_interval == 0:
+            first = b
+            for _ in range(rules.retarget_interval):
+                first = blocks[first.parent]
+            next_diff[b.id] = retarget(b.difficulty, first.timestamp, b.timestamp, rules)
+            history.append((b.height, next_diff[b.id]))
+    assert trace.difficulty_history == history
+
+    # with no rejection every node ends up knowing every block, so every
+    # final tip has the most work, and the nodes agree unless that most
+    # work is tied between blocks (each node keeps the one it saw first)
+    if not trace.rejections:
+        best = max(store.work.values())
+        assert all(store.work[t] == best for t in trace.final_tips)
+        if list(store.work.values()).count(best) == 1:
+            assert trace.agreement()
