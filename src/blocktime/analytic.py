@@ -22,9 +22,6 @@ HASH_SPACE = 2**256
 # 65535/65536 factor of the reference target).
 DIFFICULTY_ONE_SCALE = 2**32
 
-# Reference target corresponding to difficulty 1: (65535/65536) * 2^224.
-MAX_TARGET = 65535 * 2**208
-
 
 def theta_from_target(target: int) -> float:
     """Per-hash success probability for an explicit 256-bit target.

@@ -19,7 +19,7 @@ import csv
 import json
 import math
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Optional, Sequence
 
 GENESIS_ID = 0
@@ -61,8 +61,8 @@ class Block:
     found_at: float
 
 
-def make_genesis(difficulty: float, timestamp: int = 0) -> Block:
-    return Block(GENESIS_ID, None, 0, GENESIS_MINER, timestamp, difficulty, 0.0)
+def make_genesis(difficulty: float) -> Block:
+    return Block(GENESIS_ID, None, 0, GENESIS_MINER, 0, difficulty, 0.0)
 
 
 def finite_number(value, name: str) -> float:
@@ -118,11 +118,7 @@ class ConsensusRules:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ConsensusRules":
-        known = {
-            "max_future_offset", "mpt_window", "retarget_interval",
-            "target_spacing", "retarget_clamp",
-        }
-        unknown = set(d) - known
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown consensus rule keys: {sorted(unknown)}")
         return cls(**d)

@@ -38,10 +38,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _default_outdir():
-    return os.environ.get(OUTDIR_ENV, ".")
-
-
 # ---- analytic ------------------------------------------------------------
 
 def _flag(name: str) -> str:
@@ -106,7 +102,6 @@ def cmd_simulate(args) -> int:
     cfg = SimConfig.from_json(_resolve_config(args.config))
     if args.seed is not None:
         cfg.seed = args.seed
-        cfg.validate()
     trace = run(cfg)
     written = trace.write_csvs(args.outdir, args.format)
     s = trace.summary()
@@ -233,6 +228,7 @@ def cmd_retarget_demo(args) -> int:
 # ---- wiring -------------------------------------------------------------------
 
 def build_parser() -> _Parser:
+    outdir = os.environ.get(OUTDIR_ENV, ".")
     top = _Parser(prog="blocktime",
                   description="Block-timing analytics, simulation, and cross-checks.")
     sub = top.add_subparsers(dest="subcommand", required=True)
@@ -259,7 +255,7 @@ def build_parser() -> _Parser:
     ps.add_argument("--config", required=True,
                     help="path to a scenario JSON, or a bundled scenario name "
                          "(baseline, fig2, retarget, forkrate)")
-    ps.add_argument("--outdir", default=None)
+    ps.add_argument("--outdir", default=outdir)
     ps.add_argument("--seed", type=int, default=None, help="override the config seed")
     ps.add_argument("--format", choices=("csv", "json"), default="csv")
     ps.add_argument("--reports", action="store_true",
@@ -280,7 +276,7 @@ def build_parser() -> _Parser:
                     help="arrival rate (default 1/600)")
     pe.add_argument("--step", type=float, default=1.0)
     pe.add_argument("--horizon", type=float, default=3600.0)
-    pe.add_argument("--outdir", default=None)
+    pe.add_argument("--outdir", default=outdir)
     pe.add_argument("--format", choices=("csv", "json"), default="csv")
     pe.set_defaults(func=cmd_entropy)
 
@@ -290,7 +286,7 @@ def build_parser() -> _Parser:
     pd.add_argument("--epochs", type=int, default=3)
     pd.add_argument("--factor", type=float, default=2.0)
     pd.add_argument("--seed", type=int, default=0)
-    pd.add_argument("--outdir", default=None)
+    pd.add_argument("--outdir", default=outdir)
     pd.add_argument("--format", choices=("csv", "json"), default="csv")
     pd.set_defaults(func=cmd_retarget_demo)
 
@@ -301,8 +297,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "outdir", "") is None:
-            args.outdir = _default_outdir()
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -112,8 +112,7 @@ def fork_rate(trace: SimTrace) -> ComparisonReport:
         raise ValueError("trace has no canonical blocks")
     cfg = trace.config
     lam = cfg.nominal_hashrate * theta_from_difficulty(cfg.initial_difficulty)
-    tau = cfg.delay.max_delay()
-    analytic = fork_probability(lam, tau) if tau > 0 else 0.0
+    analytic = fork_probability(lam, cfg.delay.max_delay())
     warning = None
     if cfg.delay.kind == "per_pair":
         warning = "heterogeneous delays: analytic value is a bound at the max pairwise delay"
@@ -152,17 +151,17 @@ def fork_episode_rate(trace: SimTrace) -> ComparisonReport:
     return _binomial_report("fork_episode_rate", analytic, empirical, n)
 
 
-def multi_discovery_window_rate(trace: SimTrace, tau: Optional[float] = None) -> ComparisonReport:
+def multi_discovery_window_rate(trace: SimTrace) -> ComparisonReport:
     """Fraction of consecutive propagation windows holding two or more
     discoveries (stale blocks included), against the same closed form.
 
     This measures exactly what the closed form states: the chance that a
-    window of length tau contains >= 2 arrivals of the full discovery
-    process.  Compare with fork_rate, which normalizes episodes per block.
+    window of length tau, the largest pairwise delay, contains >= 2
+    arrivals of the full discovery process.  Compare with fork_rate, which
+    normalizes episodes per block.
     """
     cfg = trace.config
-    if tau is None:
-        tau = cfg.delay.max_delay()
+    tau = cfg.delay.max_delay()
     if tau <= 0:
         raise ValueError("tau must be positive")
     lam = cfg.nominal_hashrate * theta_from_difficulty(cfg.initial_difficulty)

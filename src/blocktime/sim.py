@@ -24,7 +24,7 @@ import json
 import math
 import os
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -86,6 +86,12 @@ class MinerSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MinerSpec":
+        if not isinstance(d, dict):
+            raise ConfigError(f"a miner must be a JSON object, got {d!r}")
+        # skew is set only through a fixed_skew strategy object
+        unknown = set(d) - {"id", "share", "clock_offset", "strategy"}
+        if unknown:
+            raise ConfigError(f"unknown miner keys: {sorted(unknown)}")
         strategy = d.get("strategy", HONEST)
         skew = 0.0
         if isinstance(strategy, dict):
@@ -194,6 +200,20 @@ class SimConfig:
     hashrate_steps: list[tuple[int, float]] = field(default_factory=list)
 
     def validate(self) -> None:
+        numbers = [("nominal_hashrate", self.nominal_hashrate), ("delay", self.delay.tau)]
+        numbers += [("delay", x) for row in self.delay.matrix or () for x in row]
+        for m in self.miners:
+            numbers += [(f"miner {m.id} clock_offset", m.clock_offset),
+                        (f"miner {m.id} skew", m.skew)]
+        if self.stop.duration is not None:
+            numbers.append(("stop.duration", self.stop.duration))
+        numbers += [("hashrate step factor", f) for _, f in self.hashrate_steps]
+        for name, x in numbers:
+            if not math.isfinite(x):
+                raise ConfigError(f"{name} must be a finite number, got {x!r}")
+        if not isinstance(self.retarget_enabled, bool):
+            raise ConfigError(
+                f"retarget_enabled must be true or false, got {self.retarget_enabled!r}")
         if not self.miners:
             raise ConfigError("at least one miner is required")
         total = sum(m.share for m in self.miners)
@@ -219,12 +239,9 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimConfig":
-        known = {
-            "miners", "nodes", "delay", "rules", "initial_difficulty",
-            "nominal_hashrate", "stop", "seed", "retarget_enabled",
-            "hashrate_steps",
-        }
-        unknown = set(d) - known
+        if not isinstance(d, dict):
+            raise ConfigError(f"a config must be a JSON object, got {d!r}")
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         try:
@@ -238,7 +255,7 @@ class SimConfig:
                 nominal_hashrate=finite_number(d["nominal_hashrate"], "nominal_hashrate"),
                 stop=StopRule.from_dict(d["stop"]),
                 seed=whole_number(d["seed"], "seed"),
-                retarget_enabled=bool(d.get("retarget_enabled", True)),
+                retarget_enabled=d.get("retarget_enabled", True),
                 hashrate_steps=[(whole_number(h, "hashrate step height"),
                                  finite_number(f, "hashrate step factor"))
                                 for h, f in d.get("hashrate_steps", [])],
@@ -297,7 +314,8 @@ class SimTrace:
     blocks is indexed by block id and includes stale blocks; tip_events
     records every per-node tip change (reorg_depth 0 = plain extension);
     difficulty_history records each retarget as (boundary height, new
-    difficulty for the following window).
+    difficulty for the following window).  The canonical chain is node 0's:
+    the path from genesis to its final tip.
     """
 
     config: SimConfig
@@ -313,37 +331,37 @@ class SimTrace:
         """True when every node ended on the same tip."""
         return len(set(self.final_tips)) == 1
 
-    def canonical_path(self, node: int = 0) -> list[int]:
-        """Block ids from genesis to the node's final tip."""
+    def canonical_path(self) -> list[int]:
+        """Block ids from genesis to node 0's final tip."""
         path = []
-        bid = self.final_tips[node]
+        bid = self.final_tips[0]
         while bid is not None:
             path.append(bid)
             bid = self.blocks[bid].parent
         path.reverse()
         return path
 
-    def canonical_height(self, node: int = 0) -> int:
-        return self.blocks[self.final_tips[node]].height
+    def canonical_height(self) -> int:
+        return self.blocks[self.final_tips[0]].height
 
-    def canonical_deltas(self, node: int = 0) -> np.ndarray:
+    def canonical_deltas(self) -> np.ndarray:
         """Ground-truth inter-discovery times along the canonical chain."""
-        found = np.array([self.blocks[b].found_at for b in self.canonical_path(node)])
+        found = np.array([self.blocks[b].found_at for b in self.canonical_path()])
         return np.diff(found)
 
     def max_reorg_depth(self) -> int:
         return max((e.reorg_depth for e in self.tip_events), default=0)
 
-    def miner_block_counts(self, node: int = 0) -> dict[int, int]:
+    def miner_block_counts(self) -> dict[int, int]:
         """Canonical blocks per miner (genesis excluded)."""
         counts: dict[int, int] = {}
-        for bid in self.canonical_path(node)[1:]:
+        for bid in self.canonical_path()[1:]:
             m = self.blocks[bid].miner
             counts[m] = counts.get(m, 0) + 1
         return counts
 
-    def final_difficulty(self, node: int = 0) -> float:
-        return self.blocks[self.final_tips[node]].difficulty
+    def final_difficulty(self) -> float:
+        return self.blocks[self.final_tips[0]].difficulty
 
     def summary(self) -> dict:
         return {
@@ -369,9 +387,9 @@ class SimTrace:
         os.makedirs(outdir, exist_ok=True)
         tables = {
             "blocks": (BLOCK_CSV_FIELDS, blocks_to_rows(self.blocks)),
-            "tip_changes": (("time", "node", "new_tip", "reorg_depth"), self.tip_events),
+            "tip_changes": (TipEvent._fields, self.tip_events),
             "forks": (
-                ("window_start", "blocks", "winner"),
+                ForkEpisode._fields,
                 [(f.window_start, "|".join(map(str, f.blocks)), f.winner)
                  for f in self.fork_episodes],
             ),
@@ -419,11 +437,11 @@ class _Engine:
         self.heap: list = []
         self.seq = itertools.count()
         self.draining = False
-        # retargeted difficulty per stored boundary block
+        # retargeted difficulty per stored boundary block, in id order: the
+        # trace's difficulty_history is read from it
         self.next_diff: dict[int, float] = {}
         self.tip_events: list[TipEvent] = []
         self.rejections: list[Rejection] = []
-        self.difficulty_history: list[tuple[int, float]] = [(0, config.initial_difficulty)]
         self.warnings = [
             ClockAdvisory(n.index, n.clock_offset,
                           "local clock differs from network time by more than 10 minutes")
@@ -501,9 +519,8 @@ class _Engine:
             first = block
             for _ in range(self.rules.retarget_interval):
                 first = self.blocks[first.parent]
-            d = retarget(block.difficulty, first.timestamp, block.timestamp, self.rules)
-            self.next_diff[block.id] = d
-            self.difficulty_history.append((block.height, d))
+            self.next_diff[block.id] = retarget(
+                block.difficulty, first.timestamp, block.timestamp, self.rules)
 
         # own node accepts its own block without re-validation
         if self.accept(node, block.id, now):
@@ -520,8 +537,6 @@ class _Engine:
 
     def handle_deliver(self, now: float, node_idx: int, block_id: int) -> None:
         node = self.nodes[node_idx]
-        if block_id in node.known:
-            return
         block = self.blocks[block_id]
         if block.parent not in node.known:
             node.pending.setdefault(block.parent, []).append(block)
@@ -569,7 +584,8 @@ class _Engine:
             blocks=list(self.blocks.values()),
             tip_events=self.tip_events,
             fork_episodes=episodes,
-            difficulty_history=self.difficulty_history,
+            difficulty_history=[(0, self.cfg.initial_difficulty)] + [
+                (self.blocks[b].height, d) for b, d in self.next_diff.items()],
             warnings=self.warnings,
             rejections=self.rejections,
             final_tips=[n.tip for n in self.nodes],

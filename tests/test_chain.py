@@ -54,7 +54,7 @@ class TestMedianPastTime:
         assert median_past_time(store, tip.id, 11) == 20
 
     def test_genesis_only(self):
-        store = ChainStore(make_genesis(1.0, timestamp=0))
+        store = ChainStore(make_genesis(1.0))
         assert median_past_time(store, 0, 11) == 0
 
     def test_short_chain_uses_all_available(self):

@@ -302,6 +302,30 @@ class TestSimulateCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "blocks.csv").exists()
 
+    @pytest.mark.parametrize("config", [
+        None,
+        5,
+        ["miners"],
+        {"miners": [5]},
+        {"miners": [{"id": 0, "share": 1.0, "clock_ofset": -5000}]},
+        {"retarget_enabled": "false"},
+    ], ids=["null", "number", "list", "miner-number", "miner-unknown-key",
+            "retarget-enabled-string"])
+    def test_malformed_config_exits_one(self, capsys, tmp_path, config):
+        if isinstance(config, dict):
+            d = json.loads((resources.files("blocktime") / "scenarios" / "baseline.json")
+                           .read_text())
+            d.update(config)
+            d["stop"] = {"blocks": 2100}
+            config = d
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        code, _, err = run_cli(capsys, "simulate", "--config", str(path), "--outdir", str(out))
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_unexpected_failure_exits_two(self, capsys, tmp_path, monkeypatch):
         def broken(cfg):
             raise RuntimeError("engine fault")

@@ -1,8 +1,10 @@
 """Golden bytes: the sha256 of every file the CLI writes for the bundled
 fig2, baseline and retarget scenarios (CSV and JSON, plus reports.csv for
-baseline) and for the entropy curve at its defaults; the same for a small
-inline network that reaches paths no bundled scenario does; and the exact
-floats race_monte_carlo returns for a set of (q, k, trials, seed, step_cap).
+baseline), for a short retarget-demo and for the entropy curve at its
+defaults; the same for a small inline network that reaches paths no
+bundled scenario does; the stdout of a simulate run with a clock advisory;
+and the exact floats race_monte_carlo returns for a set of (q, k, trials,
+seed, step_cap).
 
 Criterion 9 only compares two runs of the same code; these digests pin the
 output of an earlier commit, so a refactor that changes any output byte
@@ -78,6 +80,24 @@ GOLDEN = {
             "difficulty.json": "af2a8e0ba39a588d921d4e754d1296b661f0984e341ece03f2d1a6e43be1e2bd",
             "forks.json": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
             "tip_changes.json": "190e5ec15c01e60daa14e5335dd69a11f4c2e8053658173f0456c8dea19078a4",
+        },
+    ),
+    "retarget-demo-csv": (
+        ["retarget-demo", "--interval", "64", "--epochs", "3"],
+        {
+            "blocks.csv": "629e210f16810141ef75eb31320c3d1f103004165d27e67a957d6704bea44384",
+            "difficulty.csv": "321c1de1639dd442544ba387e9329aac53b353102d0adb56592cd0d0c4c5057d",
+            "forks.csv": "852fb5ff4758ce0f68e738611ebd7756b9bc5786e5bfd0ebe029a6d7608661b2",
+            "tip_changes.csv": "e91c8549c4349e8b2f776920346be7b501565cf4d3597217996cd853d8e81c53",
+        },
+    ),
+    "retarget-demo-json": (
+        ["retarget-demo", "--interval", "64", "--epochs", "3", "--format", "json"],
+        {
+            "blocks.json": "afd1abf3b6e3d464fae1c9a6d2aae5d63a931c66623cc6a2d9bb90eb09acdf57",
+            "difficulty.json": "966131d99737f7ae7ce787d97b62b4d586b50b6d2a67f6dcb58c99a39b6c5b2c",
+            "forks.json": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+            "tip_changes.json": "e08bea668c6fb017d66cd0ad6385f256dd2ec66b50b85dafd2ee8ec806c096e4",
         },
     ),
     "entropy-csv": (
@@ -161,6 +181,57 @@ def test_inline_config_reaches_its_paths():
     boundary = Counter(b.height for b in trace.blocks if b.height and b.height % 8 == 0)
     assert max(boundary.values()) >= 2  # rival boundary blocks at one height
     assert len(trace.difficulty_history) - 1 == sum(boundary.values())
+
+
+# A miner whose clock is 900 s behind gets the ten-minute advisory; the
+# --seed flag overrides the config's seed and --reports prints the
+# comparisons.  The outdir is not part of the pin.
+ADVISORY_CONFIG = {
+    "miners": [
+        {"id": 0, "share": 0.6, "clock_offset": -900.0},
+        {"id": 1, "share": 0.4, "clock_offset": 45.0},
+    ],
+    "nodes": 3,
+    "delay": {"fixed": 120.0},
+    "rules": {"retarget_interval": 16},
+    "initial_difficulty": 1.0,
+    "nominal_hashrate": 2**32 / 600,
+    "stop": {"blocks": 60},
+    "seed": 4,
+}
+
+ADVISORY_STDOUT = """\
+simulate: config=<config> seed=9
+  blocks created:   64
+  canonical height: 60
+  fork episodes:    4
+  max reorg depth:  1
+  final difficulty: 1.00172946881
+  rejections:       0
+  agreement:        True
+  advisory: node 0 offset -900s: local clock differs from network time by more than 10 minutes
+  fork_rate: analytic=0.0175231 empirical=0.0666667 n=60 stderr=0.0169 z=+2.90  \
+[under-powered: expected events 1.05 < 10]
+  multi_discovery_window_rate: analytic=0.0175231 empirical=0.0223642 n=313 stderr=0.00742 \
+z=+0.65  [under-powered: expected events 5.48 < 10]
+  tail_frequency: analytic=3.88018e-05 empirical=0 n=60 stderr=0.000804 z=-0.05  \
+[under-powered: expected events 0.00 < 10]
+  wrote <outdir>/blocks.csv
+  wrote <outdir>/tip_changes.csv
+  wrote <outdir>/forks.csv
+  wrote <outdir>/difficulty.csv
+  wrote <outdir>/reports.csv
+"""
+
+
+def test_advisory_stdout(tmp_path, capsys):
+    config = tmp_path / "advisory.json"
+    config.write_text(json.dumps(ADVISORY_CONFIG))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(config), "--seed", "9", "--reports",
+                 "--outdir", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    assert stdout.replace(str(out), "<outdir>").replace(str(config), "<config>") == ADVISORY_STDOUT
 
 
 # (q, k, trials, seed, step_cap): the exact estimate

@@ -1,5 +1,6 @@
 """Tests for the discrete-event simulator."""
 
+import dataclasses
 import json
 import math
 from importlib import resources
@@ -9,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blocktime.chain import ChainStore, retarget
-from blocktime.sim import ConfigError, DelayModel, ForkEpisode, SimConfig, StopRule, run
+from blocktime.sim import (ConfigError, DelayModel, ForkEpisode, MinerSpec, SimConfig, StopRule,
+                           run)
 
 H600 = 2**32 / 600  # hash rate putting difficulty-1 arrivals at 1/600 per second
 
@@ -76,6 +78,44 @@ class TestConfigValidation:
     def test_initial_difficulty_gives_theta_in_unit_interval(self, difficulty):
         with pytest.raises(ConfigError):
             cfg(initial_difficulty=difficulty)
+
+    @pytest.mark.parametrize("value", ["false", 0, None])
+    def test_retarget_enabled_must_be_boolean(self, value):
+        with pytest.raises(ConfigError, match="retarget_enabled"):
+            cfg(retarget_enabled=value)
+
+    def test_config_must_be_an_object(self):
+        for d in (None, 5, [], "miners"):
+            with pytest.raises(ConfigError, match="JSON object"):
+                SimConfig.from_dict(d)
+
+    def test_miner_entries(self):
+        with pytest.raises(ConfigError, match="JSON object"):
+            cfg(miners=[5])
+        with pytest.raises(ConfigError, match="clock_ofset"):
+            cfg(miners=[{"id": 0, "share": 1.0, "clock_ofset": -5000.0}])
+        with pytest.raises(ConfigError, match="skew"):
+            cfg(miners=[{"id": 0, "share": 1.0, "skew": 10.0}])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", [
+        "nominal_hashrate", "clock_offset", "skew", "tau", "matrix", "duration", "step factor",
+    ])
+    def test_validate_rejects_non_finite(self, field, bad):
+        # a config built in code gets the checks from_dict applies to JSON
+        base = cfg(miners=[{"id": 0, "share": 1.0}], nodes=2)
+        changes = {
+            "nominal_hashrate": {"nominal_hashrate": bad},
+            "clock_offset": {"miners": [MinerSpec(0, 1.0, clock_offset=bad)]},
+            "skew": {"miners": [MinerSpec(0, 1.0, strategy="fixed_skew", skew=bad)]},
+            "tau": {"delay": DelayModel("fixed", tau=bad)},
+            "matrix": {"delay": DelayModel("per_pair", matrix=[[0.0, 1.0], [bad, 0.0]])},
+            "duration": {"stop": StopRule(duration=bad)},
+            "step factor": {"hashrate_steps": [(10, bad)]},
+        }[field]
+        base.validate()
+        with pytest.raises(ConfigError, match="finite"):
+            dataclasses.replace(base, **changes).validate()
 
     def test_bad_strategy(self):
         with pytest.raises(ConfigError):
@@ -231,7 +271,7 @@ class TestTimestampSkew:
         assert tr.rejections
         assert {r.reason for r in tr.rejections} == {"future"}
         rejected = {r.block for r in tr.rejections}
-        honest_store_blocks = set(tr.canonical_path(0))
+        honest_store_blocks = set(tr.canonical_path())
         assert rejected.isdisjoint(honest_store_blocks)
 
 
@@ -393,7 +433,7 @@ def test_trace_structure(config):
     # one episode per parent with two or more children: parents in
     # first-child id order, kids stable-sorted by discovery, episodes
     # stable-sorted by window start, the first canonical kid wins
-    canonical = set(trace.canonical_path(0))
+    canonical = set(trace.canonical_path())
     children: dict[int, list[int]] = {}
     for b in blocks[1:]:
         children.setdefault(b.parent, []).append(b.id)
