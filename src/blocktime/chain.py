@@ -67,7 +67,10 @@ def make_genesis(difficulty: float) -> Block:
 
 def finite_number(value, name: str) -> float:
     """`value` as a float; ValueError unless it is finite (JSON admits
-    NaN and Infinity literals)."""
+    NaN and Infinity literals) and not a boolean (`bool` subclasses
+    `int`, so `float(True)` would read JSON `true` as 1.0)."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
     x = float(value)
     if not math.isfinite(x):
         raise ValueError(f"{name} must be a finite number, got {value!r}")
@@ -76,7 +79,9 @@ def finite_number(value, name: str) -> float:
 
 def whole_number(value, name: str) -> int:
     """`value` as an int; ValueError unless it is integral (2.0 passes,
-    2.5, NaN and Infinity do not)."""
+    2.5, NaN, Infinity and booleans do not)."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
     if isinstance(value, float) and not value.is_integer():
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)

@@ -9,6 +9,8 @@ evidence.  All estimators are pure over immutable traces.
 """
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -287,7 +289,17 @@ def race_monte_carlo(q: float, k: int, trials: int, seed: int,
 
     Runs in batches whose RNG streams derive deterministically from
     (seed, batch index), so results are reproducible bit for bit and
-    independent of any execution schedule.  Within a batch the walks
+    independent of any execution schedule.  The batches run on one thread
+    per usable CPU (at most one per batch), the calling thread included:
+    worker w takes batches w, w + W, ... and the integer success counts
+    are summed, so the estimate does not depend on the worker count or the
+    schedule.  The draw releases the GIL, so the threads' draws overlap.
+    Every large buffer is allocated once per call on the calling thread,
+    and each worker walks a slab in chunks of ceil(batch / W) walks, so the
+    memory held does not grow with the CPU count (buffers made on worker
+    threads stayed cached in per-thread malloc arenas and raised the peak
+    RSS).  A worker's exception is raised here once every thread has
+    joined.  Within a batch the walks
     advance in slabs of up to 64 steps, drawn as one (walks, steps)
     float32 array; a step is down where its draw is below q.  Each walk's
     steps are packed 8 to a byte, and the bytes are walked in step order
@@ -323,34 +335,73 @@ def race_monte_carlo(q: float, k: int, trials: int, seed: int,
     if q == 0.0:
         return 0.0
 
-    draws = np.empty(min(_BATCH, trials) * min(_SLAB, step_cap), dtype=np.float32)
+    batches = -(-trials // _BATCH)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(cpus, batches)
+    rows = -(-min(_BATCH, trials) // workers)
+    width = min(_SLAB, step_cap)
+    buffers = [(np.empty(rows * width, dtype=np.float32), np.empty(rows * width, dtype=bool))
+               for _ in range(workers)]
+    counts = [0] * workers
+    errors: list = [None] * workers
+
+    def work(w: int) -> None:
+        try:
+            for b in range(w, batches, workers):
+                counts[w] += _race_batch(q, k, min(_BATCH, trials - b * _BATCH), seed, b,
+                                         step_cap, rows, *buffers[w])
+        except BaseException as exc:  # re-raised on the calling thread
+            errors[w] = exc
+
+    threads = []
+    try:
+        for w in range(1, workers):
+            threads.append(threading.Thread(target=work, args=(w,)))
+            threads[-1].start()
+        work(0)
+    finally:
+        for t in threads:
+            t.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return sum(counts) / trials
+
+
+def _race_batch(q: float, k: int, size: int, seed: int, index: int, step_cap: int,
+                rows: int, draws: np.ndarray, down: np.ndarray) -> int:
+    """Successes among batch `index`'s `size` walks (see race_monte_carlo).
+
+    Each slab is drawn and walked `rows` walks at a time through the
+    caller's `draws` and `down` buffers.  The chunks fill in row order from
+    the batch's one generator, and consecutive fills continue its stream,
+    so the draws are those of one whole-slab fill.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+    deficit = np.full(size, k, dtype=np.int32)
     successes = 0
-    done = 0
-    batch_index = 0
-    while done < trials:
-        size = min(_BATCH, trials - done)
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(batch_index,)))
-        deficit = np.full(size, k, dtype=np.int32)
-        steps_taken = 0
-        while deficit.size and steps_taken < step_cap:
-            span = min(_SLAB, step_cap - steps_taken)
-            u = rng.random(dtype=np.float32, out=draws[:deficit.size * span].reshape(-1, span))
+    steps_taken = 0
+    while deficit.size and steps_taken < step_cap:
+        span = min(_SLAB, step_cap - steps_taken)
+        steps_taken += span
+        alive = np.empty(deficit.size, dtype=bool)
+        for start in range(0, deficit.size, rows):
+            d = deficit[start:start + rows]
+            shape = (d.size, span)
+            u = rng.random(dtype=np.float32, out=draws[:d.size * span].reshape(shape))
             # positions and lows stay within +-_SLAB, so int8 holds them
-            pos = np.zeros(deficit.size, dtype=np.int8)
-            low = np.full(deficit.size, _SLAB, dtype=np.int8)
-            for byte in np.packbits(u < q, axis=1).T:
+            pos = np.zeros(d.size, dtype=np.int8)
+            low = np.full(d.size, _SLAB, dtype=np.int8)
+            for byte in np.packbits(np.less(u, q, out=down[:d.size * span].reshape(shape)), axis=1).T:
                 np.minimum(low, pos + np.take(_LOW, byte), out=low)
                 pos += np.take(_NET, byte)
-            hit = low <= -deficit
+            hit = low <= -d
             successes += int(hit.sum())
-            deficit += pos - (-span % 8)  # less the pad bits' up-steps
-            steps_taken += span
-            alive = ~hit & (deficit <= step_cap - steps_taken)
-            if not alive.all():
-                deficit = deficit[alive]
-        done += size
-        batch_index += 1
-    return successes / trials
+            d += pos - (-span % 8)  # less the pad bits' up-steps
+            np.logical_and(~hit, d <= step_cap - steps_taken, out=alive[start:start + d.size])
+        if not alive.all():
+            deficit = deficit[alive]
+    return successes
 
 
 def reorg_depth_histogram(trace: SimTrace) -> dict[int, int]:

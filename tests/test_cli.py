@@ -289,8 +289,9 @@ class TestSimulateCommand:
         ("delay", {"fixed": math.nan}),
         ("rules", {"mpt_window": 2.5}),
         ("initial_difficulty", 1e308),
+        ("seed", True),
     ], ids=["seed", "stop.blocks", "nominal_hashrate", "delay.fixed", "rules.mpt_window",
-            "initial_difficulty"])
+            "initial_difficulty", "seed-boolean"])
     def test_bad_numbers_exit_one(self, capsys, tmp_path, key, value):
         d = json.loads((resources.files("blocktime") / "scenarios" / "baseline.json").read_text())
         d[key] = value

@@ -3,6 +3,8 @@
 import csv
 import itertools
 import math
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -184,8 +186,12 @@ class TestRaceMonteCarlo:
         for seed in (1.5, -1):
             with pytest.raises(ValueError, match="seed"):
                 M.race_monte_carlo(0.3, 3, 1000, seed=seed)
-        # integral floats are whole numbers
+        # integral floats are whole numbers, booleans are not numbers
         assert M.race_monte_carlo(0.3, 3, 1000.0, seed=1.0) == M.race_monte_carlo(0.3, 3, 1000, seed=1)
+        for args, name in [((0.3, True, 1000, 1), "k"), ((0.3, 3, True, 1), "trials"),
+                           ((0.3, 3, 1000, True), "seed"), ((0.6, 3, 1000, 1, True), "step_cap")]:
+            with pytest.raises(ValueError, match=f"{name} must be a number"):
+                M.race_monte_carlo(*args)
 
     def test_majority_attacker_estimate_near_one(self):
         est = M.race_monte_carlo(0.6, 3, 50_000, seed=4)
@@ -194,23 +200,70 @@ class TestRaceMonteCarlo:
     @settings(max_examples=100, deadline=None, database=None)
     @given(q=st.floats(0.01, 0.7), k=st.integers(1, 12), trials=st.integers(1, 3000),
            seed=st.integers(0, 2**64 - 1), extra=st.integers(0, 300),
-           batch=st.sampled_from([M._BATCH, 700]), slab=st.sampled_from([M._SLAB, 21]))
-    def test_equals_prefix_sum_reference(self, q, k, trials, seed, extra, batch, slab):
+           batch=st.sampled_from([M._BATCH, 700]), slab=st.sampled_from([M._SLAB, 21]),
+           cpus=st.sampled_from([1, 2, 3, 5]))
+    def test_equals_prefix_sum_reference(self, q, k, trials, seed, extra, batch, slab, cpus):
         # A smaller batch splits the trials into several batches; a slab that
         # is not a multiple of 8 pads the last byte of every slab, not only
-        # of the final one, so the pad correction shows in the deficit.
+        # of the final one, so the pad correction shows in the deficit.  The
+        # CPU count sets the workers: several batches per worker, more
+        # workers than batches or cores, and slabs walked in short row
+        # chunks; a short switch interval interleaves the threads densely.
         floor = math.ceil(10.0 * k / (1.0 - 2.0 * q)) if q < 0.5 else 1
         step_cap = max(floor, min(300, floor + extra))
-        with mock.patch.object(M, "_BATCH", batch), mock.patch.object(M, "_SLAB", slab):
-            assert M.race_monte_carlo(q, k, trials, seed, step_cap) == \
-                _race_prefix_sum_reference(q, k, trials, seed, step_cap)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with mock.patch.object(M, "_BATCH", batch), mock.patch.object(M, "_SLAB", slab), \
+                    mock.patch.object(M.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                      create=True):
+                assert M.race_monte_carlo(q, k, trials, seed, step_cap) == \
+                    _race_prefix_sum_reference(q, k, trials, seed, step_cap)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        # Without sched_getaffinity the worker count comes from os.cpu_count.
+        monkeypatch.delattr(M.os, "sched_getaffinity", raising=False)
+        cpu_count = mock.Mock(return_value=3)
+        monkeypatch.setattr(M.os, "cpu_count", cpu_count)
+        monkeypatch.setattr(M, "_BATCH", 700)
+        workers = set()
+        batch = M._race_batch
+
+        def recording_batch(*args):
+            workers.add(threading.get_ident())
+            return batch(*args)
+
+        monkeypatch.setattr(M, "_race_batch", recording_batch)
+        assert M.race_monte_carlo(0.3, 2, 3000, 5) == _race_prefix_sum_reference(0.3, 2, 3000, 5, None)
+        cpu_count.assert_called()
+        assert len(workers) == 3
+
+    def test_worker_failure_propagates(self, monkeypatch):
+        monkeypatch.setattr(M.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(M, "_BATCH", 700)
+        batch = M._race_batch
+
+        def failing_batch(q, k, size, seed, index, *rest):
+            if index == 1:
+                raise RuntimeError("batch 1 failed")
+            return batch(q, k, size, seed, index, *rest)
+
+        monkeypatch.setattr(M, "_race_batch", failing_batch)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="batch 1 failed"):
+            M.race_monte_carlo(0.3, 2, 3000, 5)
+        assert threading.active_count() == threads
 
 
 def _race_prefix_sum_reference(q, k, trials, seed, step_cap):
-    """race_monte_carlo with its earlier slab kernel: the same batches,
-    slabs and draws, each walk's running minimum taken by an int8 cumsum
-    over its +-1 moves.  It walks every row, also those too far from zero
-    to hit in the slab."""
+    """race_monte_carlo with its earlier slab kernel on one thread: the
+    same batches, slabs and draws, each walk's running minimum taken by an
+    int8 cumsum over its +-1 moves.  It walks every row, also those too far
+    from zero to hit in the slab."""
+    if step_cap is None:
+        step_cap = M.default_step_cap(q, k)
     successes = 0
     done = 0
     batch_index = 0

@@ -84,6 +84,18 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="retarget_enabled"):
             cfg(retarget_enabled=value)
 
+    @pytest.mark.parametrize("key, value", [
+        ("miners", [{"id": 0, "share": True}]),
+        ("nodes", True),
+        ("seed", True),
+        ("delay", {"fixed": False}),
+        ("initial_difficulty", True),
+    ], ids=["share", "nodes", "seed", "delay", "initial_difficulty"])
+    def test_booleans_are_not_numbers(self, key, value):
+        name = {"miners": "share", "delay": "delay"}.get(key, key)
+        with pytest.raises(ConfigError, match=f"{name} must be a number"):
+            cfg(**{key: value})
+
     def test_config_must_be_an_object(self):
         for d in (None, 5, [], "miners"):
             with pytest.raises(ConfigError, match="JSON object"):
