@@ -296,15 +296,15 @@ def race_monte_carlo(q: float, k: int, trials: int, seed: int,
     schedule.  The draw releases the GIL, so the threads' draws overlap.
     Every large buffer is allocated once per call on the calling thread,
     and each worker walks a slab in chunks of ceil(batch / W) walks, so the
-    memory held does not grow with the CPU count (buffers made on worker
-    threads stayed cached in per-thread malloc arenas and raised the peak
-    RSS).  A worker's exception is raised here once every thread has
-    joined.  Within a batch the walks
-    advance in slabs of up to 64 steps, drawn as one (walks, steps)
-    float32 array; a step is down where its draw is below q.  Each walk's
-    steps are packed 8 to a byte, and the bytes are walked in step order
-    through two 256-entry tables, the net move of a byte and the lowest
-    partial sum inside it, which give the walk's position and running
+    memory held does not grow with the CPU count (buffers made on the
+    worker threads raised the peak RSS, likely through freed memory kept
+    in each thread's malloc arena).  A worker's exception is raised here
+    once every thread has joined.  Within a batch the walks advance in
+    slabs of up to 64 steps, drawn as one (walks, steps) float32 array; a
+    step is down where its draw is below q.  Each walk's steps are packed
+    8 to a byte, and the bytes are walked in step order through two
+    256-entry tables, the net move of a byte and the lowest partial sum
+    inside it, which give the walk's position and running
     minimum after every byte.  A short last byte is padded with clear
     bits, which read as up-steps after the last real step: they raise the
     position, which is corrected by their count, and cannot lower the

@@ -236,7 +236,9 @@ class TestRaceMonteCarlo:
             return batch(*args)
 
         monkeypatch.setattr(M, "_race_batch", recording_batch)
-        assert M.race_monte_carlo(0.3, 2, 3000, 5) == _race_prefix_sum_reference(0.3, 2, 3000, 5, None)
+        step_cap = M.default_step_cap(0.3, 2)
+        assert M.race_monte_carlo(0.3, 2, 3000, 5, step_cap) == \
+            _race_prefix_sum_reference(0.3, 2, 3000, 5, step_cap)
         cpu_count.assert_called()
         assert len(workers) == 3
 
@@ -262,8 +264,6 @@ def _race_prefix_sum_reference(q, k, trials, seed, step_cap):
     same batches, slabs and draws, each walk's running minimum taken by an
     int8 cumsum over its +-1 moves.  It walks every row, also those too far
     from zero to hit in the slab."""
-    if step_cap is None:
-        step_cap = M.default_step_cap(q, k)
     successes = 0
     done = 0
     batch_index = 0

@@ -92,7 +92,7 @@ class TestConfigValidation:
         ("initial_difficulty", True),
     ], ids=["share", "nodes", "seed", "delay", "initial_difficulty"])
     def test_booleans_are_not_numbers(self, key, value):
-        name = {"miners": "share", "delay": "delay"}.get(key, key)
+        name = {"miners": "share"}.get(key, key)
         with pytest.raises(ConfigError, match=f"{name} must be a number"):
             cfg(**{key: value})
 
