@@ -10,20 +10,32 @@ The tip rule (`select_tip`) is most-cumulative-work with a first-seen tie
 break, so replaying the same acceptance sequence always reproduces the
 same tip at every step.
 
-Also provided: the timestamp acceptance rules (median-past-time and the
-two-hour future bound), the periodic difficulty retarget rule, the
-chain-dump rows, and the one CSV/JSON table writer every export uses.
+Also provided: the timestamp acceptance rules (median-past-time over
+MPT_WINDOW blocks and the MAX_FUTURE_OFFSET future bound), the periodic
+difficulty retarget rule (TARGET_SPACING, RETARGET_CLAMP), the chain-dump
+rows, and the one CSV/JSON table writer every export uses.  Those four
+rules are protocol constants; only the retarget interval is set per run,
+through ConsensusRules.
 """
 
 import csv
 import json
 import math
-from collections import defaultdict
 from dataclasses import dataclass, fields
 from typing import Iterable, Optional, Sequence
 
 GENESIS_ID = 0
 GENESIS_MINER = -1
+
+# how far (seconds) a timestamp may lead the local clock; the bound is
+# inclusive (exactly +offset is accepted)
+MAX_FUTURE_OFFSET = 7200.0
+# how many trailing ancestors feed the median-past-time rule
+MPT_WINDOW = 11
+# intended seconds between blocks
+TARGET_SPACING = 600.0
+# per-adjustment bound on the retarget correction ratio
+RETARGET_CLAMP = 4.0
 
 
 class ChainError(Exception):
@@ -89,37 +101,15 @@ def whole_number(value, name: str) -> int:
 
 @dataclass
 class ConsensusRules:
-    """Tunable consensus constants.
+    """The consensus setting a run may choose: `retarget_interval`, the
+    blocks per difficulty-adjustment window."""
 
-    max_future_offset: how far (seconds) a timestamp may lead the local
-        clock; the bound is inclusive (exactly +offset is accepted).
-    mpt_window: how many trailing ancestors feed the median-past-time rule.
-    retarget_interval: blocks per difficulty-adjustment window.
-    target_spacing: intended seconds between blocks.
-    retarget_clamp: per-adjustment bound on the correction ratio.
-    """
-
-    max_future_offset: float = 7200.0
-    mpt_window: int = 11
     retarget_interval: int = 2016
-    target_spacing: float = 600.0
-    retarget_clamp: float = 4.0
 
     def __post_init__(self):
-        for name in ("max_future_offset", "target_spacing", "retarget_clamp"):
-            setattr(self, name, finite_number(getattr(self, name), name))
-        for name in ("mpt_window", "retarget_interval"):
-            setattr(self, name, whole_number(getattr(self, name), name))
-        if self.max_future_offset <= 0:
-            raise ValueError("max_future_offset must be positive")
-        if self.mpt_window <= 0:
-            raise ValueError("mpt_window must be positive")
+        self.retarget_interval = whole_number(self.retarget_interval, "retarget_interval")
         if self.retarget_interval <= 0:
             raise ValueError("retarget_interval must be positive")
-        if self.target_spacing <= 0:
-            raise ValueError("target_spacing must be positive")
-        if self.retarget_clamp < 1:
-            raise ValueError("retarget_clamp must be at least 1")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ConsensusRules":
@@ -158,9 +148,9 @@ class ChainStore:
         self.blocks: dict[int, Block] = {genesis.id: genesis}
         self.work: dict[int, float] = {genesis.id: genesis.difficulty}
         self.genesis: int = genesis.id
-        # median_past_time results by window, then parent id: a block's
-        # ancestors never change, so neither does its median
-        self._mpt: defaultdict[int, dict[int, int]] = defaultdict(dict)
+        # median_past_time results by parent id: a block's ancestors never
+        # change, so neither does its median
+        self._mpt: dict[int, int] = {}
 
     def __contains__(self, block_id: int) -> bool:
         return block_id in self.blocks
@@ -237,22 +227,22 @@ class TipView:
         return tc
 
 
-def median_past_time(store: ChainStore, parent_id: int, window: int = 11) -> int:
-    """Median timestamp of the last `window` blocks ending at (and
+def median_past_time(store: ChainStore, parent_id: int) -> int:
+    """Median timestamp of the last MPT_WINDOW blocks ending at (and
     including) `parent_id`.
 
-    Near genesis, fewer than `window` ancestors exist and all available
+    Near genesis, fewer than MPT_WINDOW ancestors exist and all available
     ones are used.  For an even count the lower-middle element is taken,
     so the result is always an actual recorded timestamp.  Results are
-    cached in the store, so each (parent, window) is computed once.
+    cached in the store, so each parent is computed once.
     """
-    cache = store._mpt[window]
+    cache = store._mpt
     mpt = cache.get(parent_id)
     if mpt is not None:
         return mpt
     b = store.get(parent_id)
     stamps = []
-    for _ in range(window):
+    for _ in range(MPT_WINDOW):
         stamps.append(b.timestamp)
         if b.parent is None:
             break
@@ -262,18 +252,13 @@ def median_past_time(store: ChainStore, parent_id: int, window: int = 11) -> int
     return mpt
 
 
-def validate_timestamp(
-    block: Block,
-    store: ChainStore,
-    local_clock: float,
-    rules: ConsensusRules,
-) -> Optional[str]:
+def validate_timestamp(block: Block, store: ChainStore, local_clock: float) -> Optional[str]:
     """Check a block's timestamp against a node's local clock.
 
     Returns None on acceptance, or the name of the violated rule:
     "mpt" when the timestamp is not strictly greater than the median past
     time of its ancestors, "future" when it leads the local clock by more
-    than the allowed offset.  A timestamp earlier than the parent's is
+    than MAX_FUTURE_OFFSET.  A timestamp earlier than the parent's is
     fine as long as it clears the median, so negative inter-block deltas
     are representable and never rejected by themselves.
 
@@ -282,32 +267,32 @@ def validate_timestamp(
     """
     if block.parent not in store:
         raise MissingParent(f"parent {block.parent} of block {block.id} not present")
-    if block.timestamp <= median_past_time(store, block.parent, rules.mpt_window):
+    if block.timestamp <= median_past_time(store, block.parent):
         return "mpt"
-    if block.timestamp > local_clock + rules.max_future_offset:
+    if block.timestamp > local_clock + MAX_FUTURE_OFFSET:
         return "future"
     return None
 
 
-def retarget(difficulty: float, first_ts: int, last_ts: int, rules: ConsensusRules) -> float:
-    """New difficulty after one adjustment window.
+def retarget(difficulty: float, first_ts: int, last_ts: int, interval: int) -> float:
+    """New difficulty after one adjustment window of `interval` blocks.
 
     Scales the current difficulty by expected span / actual span, where the
-    expected span is retarget_interval * target_spacing and the actual span
-    is the timestamp distance across the window.  The correction ratio is
-    clamped to [1/retarget_clamp, retarget_clamp]; a nonpositive span (legal
-    under adversarial timestamps) clamps to the maximum upward step instead
-    of crashing.
+    expected span is interval * TARGET_SPACING and the actual span is the
+    timestamp distance across the window.  The correction ratio is clamped
+    to [1/RETARGET_CLAMP, RETARGET_CLAMP]; a nonpositive span (legal under
+    adversarial timestamps) clamps to the maximum upward step instead of
+    crashing.
     """
     if difficulty <= 0:
         raise ValueError("difficulty must be positive")
-    expected = rules.retarget_interval * rules.target_spacing
+    expected = interval * TARGET_SPACING
     actual = last_ts - first_ts
     if actual <= 0:
-        ratio = rules.retarget_clamp
+        ratio = RETARGET_CLAMP
     else:
         ratio = expected / actual
-        ratio = min(max(ratio, 1.0 / rules.retarget_clamp), rules.retarget_clamp)
+        ratio = min(max(ratio, 1.0 / RETARGET_CLAMP), RETARGET_CLAMP)
     return difficulty * ratio
 
 

@@ -22,7 +22,7 @@ from importlib import resources
 
 from . import analytic, metrics
 from .analytic import DIFFICULTY_ONE_SCALE
-from .chain import finite_number, write_table
+from .chain import TARGET_SPACING, finite_number, write_table
 from .sim import ConfigError, SimConfig, run
 
 OUTDIR_ENV = "BLOCKTIME_OUTDIR"
@@ -62,7 +62,7 @@ def _json_number(x):
 
 
 _FORMULAS = {
-    "theta-target": (["target"], lambda t: analytic.theta_from_target(t)),
+    "theta-target": (["target"], analytic.theta_from_target),
     "theta-difficulty": (["difficulty"], analytic.theta_from_difficulty),
     "arrival-rate": (["hashrate", "theta"], analytic.arrival_rate),
     "expected-trials": (["hashrate", "t"], analytic.expected_trials),
@@ -105,14 +105,11 @@ def cmd_simulate(args) -> int:
     trace = run(cfg)
     written = trace.write_csvs(args.outdir, args.format)
     s = trace.summary()
-    print(f"simulate: config={args.config} seed={s['seed']}")
-    print(f"  blocks created:   {s['blocks_created']}")
-    print(f"  canonical height: {s['canonical_height']}")
-    print(f"  fork episodes:    {s['fork_episodes']}")
-    print(f"  max reorg depth:  {s['max_reorg_depth']}")
-    print(f"  final difficulty: {s['final_difficulty']:.12g}")
-    print(f"  rejections:       {s['rejections']}")
-    print(f"  agreement:        {s['agreement']}")
+    print(f"simulate: config={args.config} seed={s.pop('seed')}")
+    for key, value in s.items():
+        label = key.replace("_", " ") + ":"
+        spec = ".12g" if isinstance(value, float) else ""
+        print(f"  {label:<18}{value:{spec}}")
     for w in trace.warnings:
         print(f"  advisory: node {w.node} offset {w.offset:+.0f}s: {w.message}")
     if args.reports:
@@ -208,7 +205,7 @@ def cmd_retarget_demo(args) -> int:
         "delay": {"fixed": 0.0},
         "rules": {"retarget_interval": interval},
         "initial_difficulty": 1.0,
-        "nominal_hashrate": DIFFICULTY_ONE_SCALE / 600.0,
+        "nominal_hashrate": DIFFICULTY_ONE_SCALE / TARGET_SPACING,
         "stop": {"blocks": args.epochs * interval},
         "seed": args.seed,
         "retarget_enabled": True,

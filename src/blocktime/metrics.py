@@ -90,7 +90,14 @@ def estimate_lambda(sample: Sequence[float]) -> float:
 
 def hashrate_inference_windows(trace: SimTrace, window: int) -> list[float]:
     """Inferred aggregate hash rate over disjoint windows of `window`
-    canonical blocks each (rate MLE fed through the difficulty relation)."""
+    canonical blocks each (rate MLE fed through the difficulty relation).
+
+    The n / sum rate MLE over n exponential intervals has mean
+    lambda * n / (n - 1), so each estimate runs high by 1 / (n - 1):
+    +0.05% at n = 2016, +0.1% at n = 1008.  That is far below the
+    estimate's own sampling error of about 1 / sqrt(n) (2.2% and 3.1%), so
+    the bias is not corrected.
+    """
     if window < 2:
         raise ValueError("window must cover at least 2 blocks")
     deltas = trace.canonical_deltas()

@@ -8,10 +8,11 @@ boundary block's successor difficulty is recorded right then.  The block
 then propagates to every other node with configurable delay.  A node is a
 TipView of that store plus a clock offset and its pending orphans: it
 validates timestamps against its own (possibly skewed) clock and accepts
-the block, which moves its tip by the tip rule.  Miner i mines on node i
-and redraws its next discovery whenever that node's tip moves, which by
-memorylessness is distributionally identical to continuing the pending
-draw.
+the block, which moves its tip by the tip rule.  Miner i mines on node i,
+stamps each block with that node's clock plus its own skew (clamped up to
+median-past-time + 1), and redraws its next discovery whenever that
+node's tip moves, which by memorylessness is distributionally identical
+to continuing the pending draw.
 
 A run is a pure function of (config, seed): one RNG stream is consumed in
 event order and event ties are broken by a global sequence number, so two
@@ -64,25 +65,24 @@ class ConfigError(ValueError):
 @dataclass
 class MinerSpec:
     """One block producer: its share of the global hash rate, the offset of
-    its local clock, and how it stamps the blocks it finds.
+    its local clock, and the `skew` seconds it adds to that clock when it
+    stamps the blocks it finds.
 
-    Strategy "honest" stamps with the local clock; "fixed_skew" adds `skew`
-    seconds on top (a miner that deliberately stamps ahead or behind).  In
-    both cases the stamp is clamped up to median-past-time + 1 so the block
-    stays acceptable even when the local clock has fallen behind the chain.
+    An honest miner (config strategy "honest") has skew 0 and stamps with
+    its local clock; strategy {"fixed_skew": s} deliberately stamps s
+    seconds ahead or behind.  The stamp is clamped up to median-past-time
+    + 1 so the block stays acceptable even when the local clock has fallen
+    behind the chain.
     """
 
     id: int
     share: float
     clock_offset: float = 0.0
-    strategy: str = HONEST
     skew: float = 0.0
 
     def __post_init__(self):
         if not 0 < self.share <= 1:
             raise ConfigError(f"miner {self.id}: share must be in (0, 1]")
-        if self.strategy not in (HONEST, FIXED_SKEW):
-            raise ConfigError(f"miner {self.id}: unknown strategy {self.strategy!r}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "MinerSpec":
@@ -93,17 +93,17 @@ class MinerSpec:
         if unknown:
             raise ConfigError(f"unknown miner keys: {sorted(unknown)}")
         strategy = d.get("strategy", HONEST)
-        skew = 0.0
-        if isinstance(strategy, dict):
-            if set(strategy) != {FIXED_SKEW}:
-                raise ConfigError(f"bad strategy object: {strategy}")
+        if strategy == HONEST:
+            skew = 0.0
+        elif isinstance(strategy, dict) and set(strategy) == {FIXED_SKEW}:
             skew = finite_number(strategy[FIXED_SKEW], "skew")
-            strategy = FIXED_SKEW
+        else:
+            raise ConfigError(f"strategy must be {HONEST!r} or {{{FIXED_SKEW!r}: s}}, "
+                              f"got {strategy!r}")
         return cls(
             id=whole_number(d["id"], "miner id"),
             share=finite_number(d["share"], "share"),
             clock_offset=finite_number(d.get("clock_offset", 0.0), "clock_offset"),
-            strategy=strategy,
             skew=skew,
         )
 
@@ -426,7 +426,6 @@ class _Engine:
     def __init__(self, config: SimConfig):
         self.cfg = config
         self.rng = np.random.default_rng(config.seed)
-        self.rules = config.rules
         self.store = ChainStore(make_genesis(config.initial_difficulty))
         self.blocks = self.store.blocks  # by id, in id order
         self.nodes: list[_Node] = []
@@ -499,10 +498,8 @@ class _Engine:
         spec = self.cfg.miners[miner_idx]
         node = self.nodes[miner_idx]
         parent = self.blocks[parent_id]
-        mpt = median_past_time(self.store, parent_id, self.rules.mpt_window)
-        local = now + spec.clock_offset
-        if spec.strategy == FIXED_SKEW:
-            local += spec.skew
+        mpt = median_past_time(self.store, parent_id)
+        local = now + spec.clock_offset + spec.skew
         block = Block(
             id=len(self.blocks),
             parent=parent_id,
@@ -513,14 +510,15 @@ class _Engine:
             found_at=now,
         )
         self.store.insert(block)
-        if self.cfg.retarget_enabled and block.height % self.rules.retarget_interval == 0:
+        interval = self.cfg.rules.retarget_interval
+        if self.cfg.retarget_enabled and block.height % interval == 0:
             # full-window span: from the previous boundary block to this one,
-            # i.e. retarget_interval whole intervals, no off-by-one
+            # i.e. interval whole intervals, no off-by-one
             first = block
-            for _ in range(self.rules.retarget_interval):
+            for _ in range(interval):
                 first = self.blocks[first.parent]
             self.next_diff[block.id] = retarget(
-                block.difficulty, first.timestamp, block.timestamp, self.rules)
+                block.difficulty, first.timestamp, block.timestamp, interval)
 
         # own node accepts its own block without re-validation
         if self.accept(node, block.id, now):
@@ -545,7 +543,7 @@ class _Engine:
         queue = [block]
         while queue:
             b = queue.pop(0)
-            reason = validate_timestamp(b, self.store, now + node.clock_offset, self.rules)
+            reason = validate_timestamp(b, self.store, now + node.clock_offset)
             if reason is not None:
                 # dropped for good; descendants stay parked in the pending
                 # pool and never become part of this node's view

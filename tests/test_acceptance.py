@@ -157,21 +157,20 @@ def test_criterion_7_exponentiality(expo_trace):
 
 
 def test_criterion_8_consensus_rules(fig2_trace):
-    from blocktime.chain import (Block, ChainStore, ConsensusRules, make_genesis,
-                                 median_past_time, validate_timestamp)
+    from blocktime.chain import (Block, ChainStore, make_genesis, median_past_time,
+                                 validate_timestamp)
 
-    rules = ConsensusRules()
     store = ChainStore(make_genesis(1.0))
     parent = store.get(0)
     for i, ts in enumerate(range(1, 12)):
         b = Block(i + 1, parent.id, parent.height + 1, 0, ts, 1.0, float(i))
         store.insert(b)
         parent = b
-    mpt = median_past_time(store, parent.id, rules.mpt_window)
+    mpt = median_past_time(store, parent.id)
 
     def probe(ts, clock=1e6):
         return validate_timestamp(
-            Block(99, parent.id, parent.height + 1, 0, ts, 1.0, 0.0), store, clock, rules)
+            Block(99, parent.id, parent.height + 1, 0, ts, 1.0, 0.0), store, clock)
 
     checks = {
         "timestamp == median rejected": probe(mpt) == "mpt",

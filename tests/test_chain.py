@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -16,7 +17,11 @@ from blocktime.chain import (
     ChainStore,
     ConsensusRules,
     DuplicateBlock,
+    MAX_FUTURE_OFFSET,
     MissingParent,
+    MPT_WINDOW,
+    RETARGET_CLAMP,
+    TARGET_SPACING,
     TipView,
     UnknownBlock,
     blocks_to_rows,
@@ -27,8 +32,6 @@ from blocktime.chain import (
     validate_timestamp,
     write_table,
 )
-
-RULES = ConsensusRules()
 
 
 def chain_of(timestamps, difficulty=1.0, start_id=1):
@@ -46,30 +49,31 @@ def chain_of(timestamps, difficulty=1.0, start_id=1):
 class TestMedianPastTime:
     def test_consecutive(self):
         store, tip = chain_of(list(range(1, 12)))
-        assert median_past_time(store, tip.id, 11) == 6
+        assert median_past_time(store, tip.id) == 6
 
     def test_scrambled(self):
         stamps = [10, 5, 20, 15, 8, 30, 25, 12, 40, 35, 50]
         store, tip = chain_of(stamps)
-        assert median_past_time(store, tip.id, 11) == 20
+        assert median_past_time(store, tip.id) == 20
 
     def test_genesis_only(self):
         store = ChainStore(make_genesis(1.0))
-        assert median_past_time(store, 0, 11) == 0
+        assert median_past_time(store, 0) == 0
 
     def test_short_chain_uses_all_available(self):
         store, tip = chain_of([100, 200, 300])
         # genesis(0) + three blocks -> sorted [0, 100, 200, 300], lower middle
-        assert median_past_time(store, tip.id, 11) == 100
+        assert median_past_time(store, tip.id) == 100
 
     def test_even_count_lower_middle(self):
         store, tip = chain_of([100, 200, 300, 400, 500])
-        assert median_past_time(store, tip.id, 4) == 300  # [200..500] -> 300
+        # genesis(0) + five blocks -> six stamps [0..500], lower middle
+        assert median_past_time(store, tip.id) == 200
 
     def test_unknown_parent(self):
         store = ChainStore(make_genesis(1.0))
         with pytest.raises(UnknownBlock):
-            median_past_time(store, 999, 11)
+            median_past_time(store, 999)
 
 
 class TestValidateTimestamp:
@@ -78,30 +82,30 @@ class TestValidateTimestamp:
 
     def test_equal_to_median_rejected(self):
         store, tip = chain_of(list(range(1, 12)))
-        mpt = median_past_time(store, tip.id, RULES.mpt_window)
-        assert validate_timestamp(self.make(store, tip, mpt), store, 1e6, RULES) == "mpt"
-        assert validate_timestamp(self.make(store, tip, mpt + 1), store, 1e6, RULES) is None
+        mpt = median_past_time(store, tip.id)
+        assert validate_timestamp(self.make(store, tip, mpt), store, 1e6) == "mpt"
+        assert validate_timestamp(self.make(store, tip, mpt + 1), store, 1e6) is None
 
     def test_future_bound_inclusive(self):
         store, tip = chain_of(list(range(1, 12)))
         clock = 10_000
-        assert validate_timestamp(self.make(store, tip, clock + 7200), store, clock, RULES) is None
-        assert validate_timestamp(self.make(store, tip, clock + 7201), store, clock, RULES) == "future"
+        assert validate_timestamp(self.make(store, tip, clock + 7200), store, clock) is None
+        assert validate_timestamp(self.make(store, tip, clock + 7201), store, clock) == "future"
 
     def test_earlier_than_parent_accepted(self):
         # the negative-delta case: below the parent's stamp but above the median
         store, tip = chain_of([100, 200, 300, 400, 900])
-        mpt = median_past_time(store, tip.id, RULES.mpt_window)
+        mpt = median_past_time(store, tip.id)
         assert mpt == 200  # sorted [0,100,200,300,400,900], lower middle
         block = self.make(store, tip, 201)
         assert block.timestamp < tip.timestamp
-        assert validate_timestamp(block, store, 1e6, RULES) is None
+        assert validate_timestamp(block, store, 1e6) is None
 
     def test_orphan_is_not_a_rule_rejection(self):
         store, tip = chain_of([100])
         orphan = Block(77, 60, 5, 0, 400, 1.0, 0.0)
         with pytest.raises(MissingParent):
-            validate_timestamp(orphan, store, 1e6, RULES)
+            validate_timestamp(orphan, store, 1e6)
 
 
 def fig2_store():
@@ -307,6 +311,39 @@ def test_tip_rule_on_random_trees(tree):
             assert tc.reorg_depth == 0
 
 
+@st.composite
+def stamped_trees(draw):
+    """A random block tree on a fresh store whose stamps need not rise
+    along a branch and often tie.  Each parent is one of the last four
+    blocks, so branches run deeper than MPT_WINDOW."""
+    n = draw(st.integers(0, 40))
+    store = ChainStore(make_genesis(1.0))
+    for i in range(1, n + 1):
+        parent = store.get(i - draw(st.integers(1, min(i, 4))))
+        ts = draw(st.integers(-50, 50))
+        store.insert(Block(i, parent.id, parent.height + 1, 0, ts, 1.0, float(i)))
+    return store
+
+
+@settings(deadline=None, database=None)
+@given(stamped_trees())
+def test_median_past_time_on_random_trees(store):
+    """Every block's median-past-time, when first computed and again when
+    read from the cache, is the lower median of the stamps of its last
+    MPT_WINDOW ancestors (all of them near genesis), itself included."""
+    blocks = store.blocks
+    expected = {
+        bid: statistics.median_low(
+            blocks[a].timestamp for a in _ancestors(blocks, bid)[:MPT_WINDOW])
+        for bid in blocks
+    }
+    for bid in blocks:
+        assert median_past_time(store, bid) == expected[bid]
+    assert store._mpt == expected
+    for bid in blocks:
+        assert median_past_time(store, bid) == expected[bid]
+
+
 class TestForkPoint:
     def test_self(self):
         store, blocks = fig2_store()
@@ -335,45 +372,56 @@ class TestForkPoint:
 
 class TestRetarget:
     def test_on_target_unchanged(self):
-        assert retarget(1.0, 0, 1_209_600, RULES) == pytest.approx(1.0, rel=1e-12)
+        assert retarget(1.0, 0, 1_209_600, 2016) == pytest.approx(1.0, rel=1e-12)
 
     def test_half_span_doubles(self):
-        assert retarget(1.0, 0, 604_800, RULES) == pytest.approx(2.0, rel=1e-12)
+        assert retarget(1.0, 0, 604_800, 2016) == pytest.approx(2.0, rel=1e-12)
 
     def test_clamp(self):
-        assert retarget(1.0, 0, 60_480, RULES) == 4.0       # ratio 20 clamps
-        assert retarget(1.0, 0, 120_960_000, RULES) == 0.25  # ratio 0.01 clamps
+        assert retarget(1.0, 0, 60_480, 2016) == 4.0       # ratio 20 clamps
+        assert retarget(1.0, 0, 120_960_000, 2016) == 0.25  # ratio 0.01 clamps
 
     def test_degenerate_span_clamps_up(self):
-        assert retarget(1.0, 1000, 1000, RULES) == 4.0
-        assert retarget(1.0, 5000, 100, RULES) == 4.0
+        assert retarget(1.0, 1000, 1000, 2016) == 4.0
+        assert retarget(1.0, 5000, 100, 2016) == 4.0
 
     def test_scale_free(self):
         for c in [0.01, 3.0, 1e6]:
-            assert retarget(c * 1.7, 0, 900_000, RULES) == pytest.approx(
-                c * retarget(1.7, 0, 900_000, RULES), rel=1e-12)
+            assert retarget(c * 1.7, 0, 900_000, 2016) == pytest.approx(
+                c * retarget(1.7, 0, 900_000, 2016), rel=1e-12)
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            retarget(0.0, 0, 600, RULES)
+            retarget(0.0, 0, 600, 2016)
+
+
+@settings(deadline=None, database=None)
+@given(st.floats(1e-300, 1e300), st.integers(-10**9, 10**9), st.integers(-10**9, 10**9),
+       st.integers(1, 10**6))
+def test_retarget_ratio_stays_clamped(difficulty, first_ts, last_ts, interval):
+    """Whatever the span, the correction ratio lies in
+    [1/RETARGET_CLAMP, RETARGET_CLAMP], and a span <= 0 takes the top."""
+    ratio = retarget(difficulty, first_ts, last_ts, interval) / difficulty
+    assert 1 / RETARGET_CLAMP <= ratio <= RETARGET_CLAMP
+    if last_ts <= first_ts:
+        assert ratio == RETARGET_CLAMP
 
 
 class TestRulesValidation:
     def test_defaults(self):
-        r = ConsensusRules()
-        assert r.max_future_offset == 7200.0
-        assert r.mpt_window == 11
-        assert r.retarget_interval == 2016
-        assert r.target_spacing == 600.0
-        assert r.retarget_clamp == 4.0
+        assert MAX_FUTURE_OFFSET == 7200.0
+        assert MPT_WINDOW == 11
+        assert TARGET_SPACING == 600.0
+        assert RETARGET_CLAMP == 4.0
+        assert ConsensusRules().retarget_interval == 2016
 
     def test_bad_values(self):
         with pytest.raises(ValueError):
-            ConsensusRules(mpt_window=0)
-        with pytest.raises(ValueError):
-            ConsensusRules(retarget_clamp=0.5)
+            ConsensusRules(retarget_interval=0)
         with pytest.raises(ValueError):
             ConsensusRules.from_dict({"bogus": 1})
+        with pytest.raises(ValueError, match="unknown consensus rule keys"):
+            ConsensusRules.from_dict({"mpt_window": 11})
 
 
 class TestChainDump:

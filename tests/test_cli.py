@@ -287,10 +287,10 @@ class TestSimulateCommand:
         ("stop", {"blocks": 2.5}),
         ("nominal_hashrate", math.inf),
         ("delay", {"fixed": math.nan}),
-        ("rules", {"mpt_window": 2.5}),
+        ("rules", {"retarget_interval": 2.5}),
         ("initial_difficulty", 1e308),
         ("seed", True),
-    ], ids=["seed", "stop.blocks", "nominal_hashrate", "delay.fixed", "rules.mpt_window",
+    ], ids=["seed", "stop.blocks", "nominal_hashrate", "delay.fixed", "rules.retarget_interval",
             "initial_difficulty", "seed-boolean"])
     def test_bad_numbers_exit_one(self, capsys, tmp_path, key, value):
         d = json.loads((resources.files("blocktime") / "scenarios" / "baseline.json").read_text())

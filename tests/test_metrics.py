@@ -232,7 +232,9 @@ class TestRaceMonteCarlo:
         batch = M._race_batch
 
         def recording_batch(*args):
-            workers.add(threading.get_ident())
+            # thread objects, not idents: a finished thread's ident can be
+            # reused by the next thread started
+            workers.add(threading.current_thread())
             return batch(*args)
 
         monkeypatch.setattr(M, "_race_batch", recording_batch)

@@ -119,7 +119,7 @@ class TestConfigValidation:
         changes = {
             "nominal_hashrate": {"nominal_hashrate": bad},
             "clock_offset": {"miners": [MinerSpec(0, 1.0, clock_offset=bad)]},
-            "skew": {"miners": [MinerSpec(0, 1.0, strategy="fixed_skew", skew=bad)]},
+            "skew": {"miners": [MinerSpec(0, 1.0, skew=bad)]},
             "tau": {"delay": DelayModel("fixed", tau=bad)},
             "matrix": {"delay": DelayModel("per_pair", matrix=[[0.0, 1.0], [bad, 0.0]])},
             "duration": {"stop": StopRule(duration=bad)},
@@ -132,6 +132,9 @@ class TestConfigValidation:
     def test_bad_strategy(self):
         with pytest.raises(ConfigError):
             cfg(miners=[{"id": 0, "share": 1.0, "strategy": "greedy"}])
+        # the bare name gives no skew
+        with pytest.raises(ConfigError):
+            cfg(miners=[{"id": 0, "share": 1.0, "strategy": "fixed_skew"}])
 
     def test_delay_model_helpers(self):
         assert DelayModel.fixed(3.0).max_delay() == 3.0
@@ -460,17 +463,17 @@ def test_trace_structure(config):
 
     # one retarget per stored boundary block, in id order, and each child
     # mines at the difficulty its parent prescribes
-    rules = config.rules
+    interval = config.rules.retarget_interval
     history = [(0, config.initial_difficulty)]
     next_diff: dict[int, float] = {}
     for b in blocks[1:]:
         parent = blocks[b.parent]
         assert b.difficulty == next_diff.get(parent.id, parent.difficulty)
-        if config.retarget_enabled and b.height % rules.retarget_interval == 0:
+        if config.retarget_enabled and b.height % interval == 0:
             first = b
-            for _ in range(rules.retarget_interval):
+            for _ in range(interval):
                 first = blocks[first.parent]
-            next_diff[b.id] = retarget(b.difficulty, first.timestamp, b.timestamp, rules)
+            next_diff[b.id] = retarget(b.difficulty, first.timestamp, b.timestamp, interval)
             history.append((b.height, next_diff[b.id]))
     assert trace.difficulty_history == history
 
