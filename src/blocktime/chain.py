@@ -22,7 +22,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, fields
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 GENESIS_ID = 0
 GENESIS_MINER = -1
@@ -36,6 +36,10 @@ MPT_WINDOW = 11
 TARGET_SPACING = 600.0
 # per-adjustment bound on the retarget correction ratio
 RETARGET_CLAMP = 4.0
+
+
+class ConfigError(ValueError):
+    """Raised for an invalid simulation configuration before any event runs."""
 
 
 class ChainError(Exception):
@@ -89,6 +93,13 @@ def finite_number(value, name: str) -> float:
     return x
 
 
+def config_object(value, name: str) -> dict:
+    """`value` itself; ConfigError naming `name` unless it is a JSON object."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {value!r}")
+    return value
+
+
 def whole_number(value, name: str) -> int:
     """`value` as an int; ValueError unless it is integral (2.0 passes,
     2.5, NaN, Infinity and booleans do not)."""
@@ -113,16 +124,16 @@ class ConsensusRules:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ConsensusRules":
-        unknown = set(d) - {f.name for f in fields(cls)}
+        unknown = set(config_object(d, "rules")) - {f.name for f in fields(cls)}
         if unknown:
-            raise ValueError(f"unknown consensus rule keys: {sorted(unknown)}")
+            raise ConfigError(f"unknown consensus rule keys: {sorted(unknown)}")
         return cls(**d)
 
 
-@dataclass(frozen=True)
-class TipChange:
+class TipChange(NamedTuple):
     """Outcome of one insertion: where the tip was, where it is now, and
-    how many trailing blocks of the old canonical path were abandoned."""
+    how many trailing blocks of the old canonical path were abandoned.  A
+    tuple, so the simulator unpacks it without attribute lookups."""
 
     old_tip: int
     new_tip: int
@@ -265,7 +276,7 @@ def validate_timestamp(block: Block, store: ChainStore, local_clock: float) -> O
     An unknown parent raises MissingParent: orphanhood is a delivery-order
     problem, not a rule violation.
     """
-    if block.parent not in store:
+    if block.parent not in store.blocks:
         raise MissingParent(f"parent {block.parent} of block {block.id} not present")
     if block.timestamp <= median_past_time(store, block.parent):
         return "mpt"

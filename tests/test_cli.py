@@ -303,21 +303,27 @@ class TestSimulateCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "blocks.csv").exists()
 
-    @pytest.mark.parametrize("config", [
-        None,
-        5,
-        ["miners"],
-        {"miners": [5]},
-        {"miners": [{"id": 0, "share": 1.0, "clock_ofset": -5000}]},
-        {"retarget_enabled": "false"},
+    @pytest.mark.parametrize("config, named", [
+        (None, None),
+        (5, None),
+        (["miners"], None),
+        ({"miners": [5]}, None),
+        ({"miners": [{"id": 0, "share": 1.0, "clock_ofset": -5000}]}, None),
+        ({"retarget_enabled": "false"}, None),
+        ({"rules": 5}, "rules"),
+        ({"rules": None}, "rules"),
+        ({"rules": ["retarget_interval"]}, "rules"),
+        ({"delay": 5}, "delay"),
+        ({"stop": None}, "stop"),
     ], ids=["null", "number", "list", "miner-number", "miner-unknown-key",
-            "retarget-enabled-string"])
-    def test_malformed_config_exits_one(self, capsys, tmp_path, config):
+            "retarget-enabled-string", "rules-number", "rules-null", "rules-list",
+            "delay-number", "stop-null"])
+    def test_malformed_config_exits_one(self, capsys, tmp_path, config, named):
         if isinstance(config, dict):
             d = json.loads((resources.files("blocktime") / "scenarios" / "baseline.json")
                            .read_text())
-            d.update(config)
             d["stop"] = {"blocks": 2100}
+            d.update(config)
             config = d
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(config))
@@ -326,6 +332,9 @@ class TestSimulateCommand:
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
+        if named is not None:
+            # the message names the key, not Python's internal text
+            assert err.startswith(f"error: {named} must be a JSON object, got ")
 
     def test_unexpected_failure_exits_two(self, capsys, tmp_path, monkeypatch):
         def broken(cfg):

@@ -1,7 +1,7 @@
 """Golden bytes: the sha256 of every file the CLI writes for the bundled
 fig2, baseline and retarget scenarios (CSV and JSON, plus reports.csv for
 baseline), for a short retarget-demo and for the entropy curve at its
-defaults; the same for a small inline network that reaches paths no
+defaults; the same for two small inline networks that reach paths no
 bundled scenario does; the stdout of a simulate run with a clock advisory;
 and the exact floats race_monte_carlo returns for a set of (q, k, trials,
 seed, step_cap).
@@ -16,11 +16,14 @@ recorded with the int8 prefix-sum kernel that preceded the packed tables.
 """
 
 import hashlib
+import itertools
 import json
 from collections import Counter
 
 import pytest
 
+from blocktime import sim
+from blocktime.chain import validate_timestamp
 from blocktime.cli import main
 from blocktime.metrics import race_monte_carlo
 from blocktime.sim import SimConfig, run
@@ -181,6 +184,84 @@ def test_inline_config_reaches_its_paths():
     boundary = Counter(b.height for b in trace.blocks if b.height and b.height % 8 == 0)
     assert max(boundary.values()) >= 2  # rival boundary blocks at one height
     assert len(trace.difficulty_history) - 1 == sum(boundary.values())
+
+
+# Node 4 hears miner 0 only after 300 s but miner 1 within 5 s, so blocks
+# built on miner 0's wait in its pending pool and one delivery releases a
+# chain of them that forks into two siblings; a fixed_skew miner 7230 s
+# ahead is rejected as "future" by node 3 (clock 60 s behind), which then
+# parks that block's child for good.  Pins the release order.
+RELEASE_CONFIG = {
+    "miners": [
+        {"id": 0, "share": 0.4},
+        {"id": 1, "share": 0.3, "clock_offset": 90.0},
+        {"id": 2, "share": 0.2, "strategy": {"fixed_skew": 7230.0}},
+        {"id": 3, "share": 0.1, "clock_offset": -60.0},
+    ],
+    "nodes": 5,
+    "delay": {"per_pair": [
+        [0.0, 10.0, 40.0, 25.0, 300.0],
+        [15.0, 0.0, 20.0, 35.0, 5.0],
+        [50.0, 8.0, 0.0, 60.0, 30.0],
+        [20.0, 45.0, 70.0, 0.0, 15.0],
+        [100.0, 12.0, 80.0, 55.0, 0.0],
+    ]},
+    "rules": {"retarget_interval": 8},
+    "initial_difficulty": 1.0,
+    "nominal_hashrate": 2**32 / 120,
+    "stop": {"blocks": 48},
+    "seed": 8,
+}
+
+RELEASE_GOLDEN = {
+    "csv": {
+        "blocks.csv": "438b00cba371f4dcb3f3b0b59709fc069de2457818e5bfd5aa02ab375d553cef",
+        "difficulty.csv": "29777c27a5004b8a54b01f51977f4c1dd9ef329d6cbc30f57d43cea639624ae1",
+        "forks.csv": "3febf25bd2bbb3e3870ff98c10b0d0e71536f52ac28a3a83bbafd1b22a589833",
+        "tip_changes.csv": "8635a3ac1dfd1e134b893e09edcd558d5e9c5596d93be0ebc204b23ae8249acf",
+    },
+    "json": {
+        "blocks.json": "6bcfa385a990f8c89ed8a37c3ee539b1cf47cb2fcb706a44d56cbafab81c45ae",
+        "difficulty.json": "dcf1d7ba4156fca76e1e01cef59f3f0e6aa7601e730b8d127a57432e2a6cfa05",
+        "forks.json": "7c4f3b2aceb1ae9afd379ab4362269241f55ed23583361d9e87a5725350b9885",
+        "tip_changes.json": "947d44841646a4378f8d4664e513381dc72dfc908bd9f6101a4141aaa209f21f",
+    },
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(RELEASE_GOLDEN))
+def test_release_config_bytes(fmt, tmp_path, capsys):
+    config = tmp_path / "release.json"
+    config.write_text(json.dumps(RELEASE_CONFIG))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(config), "--format", fmt, "--outdir", str(out)]) == 0
+    capsys.readouterr()
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert written == RELEASE_GOLDEN[fmt]
+
+
+def test_release_config_reaches_its_paths(monkeypatch):
+    # every validation of one delivery sees the same local clock, so a run
+    # of equal clocks is one delivered block plus the parked ones it released
+    validated = []
+
+    def logged(block, store, local_clock):
+        validated.append((local_clock, block))
+        return validate_timestamp(block, store, local_clock)
+
+    monkeypatch.setattr(sim, "validate_timestamp", logged)
+    trace = run(SimConfig.from_dict(RELEASE_CONFIG))
+    released = [[b for _, b in group][1:]
+                for _, group in itertools.groupby(validated, key=lambda v: v[0])]
+    assert max(map(len, released)) >= 2
+    assert any(len({b.parent for b in r}) < len(r) for r in released)  # siblings
+    rejected = {(r.node, r.block) for r in trace.rejections}
+    assert {reason for *_, reason in trace.rejections} == {"future"}
+    # a block never reaches its own miner's node by delivery, so a child of a
+    # block node n rejected was delivered to n and parked there
+    assert any((n, b.parent) in rejected for b in trace.blocks
+               for n in range(RELEASE_CONFIG["nodes"])
+               if n != b.miner)
 
 
 # A miner whose clock is 900 s behind gets the ten-minute advisory; the

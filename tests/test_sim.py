@@ -1,6 +1,7 @@
 """Tests for the discrete-event simulator."""
 
 import dataclasses
+import gc
 import json
 import math
 from importlib import resources
@@ -9,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blocktime.chain import ChainStore, retarget
+from blocktime import sim
+from blocktime.chain import ChainStore, ConsensusRules, retarget
 from blocktime.sim import (ConfigError, DelayModel, ForkEpisode, MinerSpec, SimConfig, StopRule,
                            run)
+from test_golden import INLINE_CONFIG
 
 H600 = 2**32 / 600  # hash rate putting difficulty-1 arrivals at 1/600 per second
 
@@ -100,6 +103,13 @@ class TestConfigValidation:
         for d in (None, 5, [], "miners"):
             with pytest.raises(ConfigError, match="JSON object"):
                 SimConfig.from_dict(d)
+
+    @pytest.mark.parametrize("value", [5, None, ["x"]])
+    def test_sections_must_be_objects(self, value):
+        for section, key in ((ConsensusRules, "rules"), (DelayModel, "delay"),
+                             (StopRule, "stop")):
+            with pytest.raises(ConfigError, match=f"^{key} must be a JSON object"):
+                section.from_dict(value)
 
     def test_miner_entries(self):
         with pytest.raises(ConfigError, match="JSON object"):
@@ -327,6 +337,53 @@ class TestStopRules:
         assert all(b.found_at <= 50_000.0 for b in tr.blocks[1:])
         assert tr.canonical_height() > 0
         assert tr.agreement()
+
+
+class TestGarbageCollectorPause:
+    """`run` pauses the cyclic collector while events run and leaves it as
+    it found it, also when the run fails."""
+
+    @pytest.fixture(autouse=True)
+    def keep_gc_state(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_restored(self, enabled, monkeypatch):
+        during = []
+        deliver = sim._Engine.handle_deliver
+
+        def spy(self, *args):
+            during.append(gc.isenabled())
+            return deliver(self, *args)
+
+        monkeypatch.setattr(sim._Engine, "handle_deliver", spy)
+        (gc.enable if enabled else gc.disable)()
+        run(cfg(miners=[{"id": 0, "share": 0.5}, {"id": 1, "share": 0.5}], nodes=2,
+                delay={"fixed": 30.0}, stop={"blocks": 20}))
+        assert during and not any(during)
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_restored_when_the_run_raises(self, enabled, monkeypatch):
+        def broken(self, *args):
+            raise RuntimeError("handler fault")
+
+        monkeypatch.setattr(sim._Engine, "handle_found", broken)
+        (gc.enable if enabled else gc.disable)()
+        with pytest.raises(RuntimeError, match="handler fault"):
+            run(cfg())
+        assert gc.isenabled() is enabled
+
+    def test_run_makes_no_cycles(self):
+        # the premise of the pause: a collection right after a run frees
+        # nothing, so none during it could have either
+        config = SimConfig.from_dict(INLINE_CONFIG)
+        gc.collect()
+        trace = run(config)
+        assert gc.collect() == 0
+        assert trace.rejections  # the config reaches its rejection path
 
 
 class TestScenariosAndExports:
