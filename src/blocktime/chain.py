@@ -21,6 +21,7 @@ through ConsensusRules.
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -39,7 +40,8 @@ RETARGET_CLAMP = 4.0
 
 
 class ConfigError(ValueError):
-    """Raised for an invalid simulation configuration before any event runs."""
+    """Raised for an invalid simulation configuration, or an invalid number
+    handed in from outside, before any work runs."""
 
 
 class ChainError(Exception):
@@ -81,36 +83,51 @@ def make_genesis(difficulty: float) -> Block:
     return Block(GENESIS_ID, None, 0, GENESIS_MINER, 0, difficulty, 0.0)
 
 
+def _real(value, name: str):
+    """`value` itself; ConfigError unless it is a real number.  Booleans
+    are refused (`bool` subclasses `int`, so JSON `true` would read as 1),
+    and so are strings, which `float` and `int` would parse."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return value
+
+
 def finite_number(value, name: str) -> float:
-    """`value` as a float; ValueError unless it is finite (JSON admits
-    NaN and Infinity literals) and not a boolean (`bool` subclasses
-    `int`, so `float(True)` would read JSON `true` as 1.0)."""
-    if isinstance(value, bool):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    x = float(value)
+    """`value` as a float; ConfigError unless it is a finite real number
+    (JSON admits NaN and Infinity literals)."""
+    x = float(_real(value, name))
     if not math.isfinite(x):
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
     return x
 
 
-def config_object(value, name: str) -> dict:
-    """`value` itself; ConfigError naming `name` unless it is a JSON object."""
+def config_object(value, name: str, keys, kind: Optional[str] = None) -> dict:
+    """`value` itself; ConfigError unless it is a JSON object whose keys all
+    lie in `keys`.  `name` names the value and `kind` (`name` by default)
+    its entries in the unknown-key message."""
     if not isinstance(value, dict):
         raise ConfigError(f"{name} must be a JSON object, got {value!r}")
+    unknown = set(value) - set(keys)
+    if unknown:
+        raise ConfigError(f"unknown {kind or name} keys: {sorted(unknown)}")
     return value
 
 
 def whole_number(value, name: str) -> int:
-    """`value` as an int; ValueError unless it is integral (2.0 passes,
-    2.5, NaN, Infinity and booleans do not)."""
-    if isinstance(value, bool):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+    """`value` as an int; ConfigError unless it is an integral real number
+    (2.0 passes; 2.5, NaN, Infinity, booleans and strings do not)."""
+    if not isinstance(_real(value, name), numbers.Integral) and not float(value).is_integer():
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
 
-@dataclass
+def set_fields(section, **values) -> None:
+    """Store checked values on a frozen dataclass from its __post_init__."""
+    for name, value in values.items():
+        object.__setattr__(section, name, value)
+
+
+@dataclass(frozen=True)
 class ConsensusRules:
     """The consensus setting a run may choose: `retarget_interval`, the
     blocks per difficulty-adjustment window."""
@@ -118,16 +135,14 @@ class ConsensusRules:
     retarget_interval: int = 2016
 
     def __post_init__(self):
-        self.retarget_interval = whole_number(self.retarget_interval, "retarget_interval")
-        if self.retarget_interval <= 0:
-            raise ValueError("retarget_interval must be positive")
+        interval = whole_number(self.retarget_interval, "retarget_interval")
+        if interval <= 0:
+            raise ConfigError("retarget_interval must be positive")
+        set_fields(self, retarget_interval=interval)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ConsensusRules":
-        unknown = set(config_object(d, "rules")) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ConfigError(f"unknown consensus rule keys: {sorted(unknown)}")
-        return cls(**d)
+        return cls(**config_object(d, "rules", [f.name for f in fields(cls)], "consensus rule"))
 
 
 class TipChange(NamedTuple):
@@ -162,9 +177,6 @@ class ChainStore:
         # median_past_time results by parent id: a block's ancestors never
         # change, so neither does its median
         self._mpt: dict[int, int] = {}
-
-    def __contains__(self, block_id: int) -> bool:
-        return block_id in self.blocks
 
     def get(self, block_id: int) -> Block:
         try:

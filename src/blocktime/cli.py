@@ -14,6 +14,7 @@ error, 2 runtime failure.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -101,7 +102,7 @@ def _resolve_config(path_or_name: str):
 def cmd_simulate(args) -> int:
     cfg = SimConfig.from_json(_resolve_config(args.config))
     if args.seed is not None:
-        cfg.seed = args.seed
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     trace = run(cfg)
     written = trace.write_csvs(args.outdir, args.format)
     s = trace.summary()

@@ -31,7 +31,7 @@ import json
 import math
 import os
 from collections import defaultdict
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -50,6 +50,7 @@ from .chain import (
     make_genesis,
     median_past_time,
     retarget,
+    set_fields,
     validate_timestamp,
     whole_number,
     write_table,
@@ -66,7 +67,7 @@ _EV_FOUND = 0
 _EV_DELIVER = 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class MinerSpec:
     """One block producer: its share of the global hash rate, the offset of
     its local clock, and the `skew` seconds it adds to that clock when it
@@ -85,64 +86,72 @@ class MinerSpec:
     skew: float = 0.0
 
     def __post_init__(self):
+        set_fields(
+            self,
+            id=whole_number(self.id, "miner id"),
+            share=finite_number(self.share, "share"),
+            clock_offset=finite_number(self.clock_offset, "clock_offset"),
+            skew=finite_number(self.skew, "skew"),
+        )
         if not 0 < self.share <= 1:
             raise ConfigError(f"miner {self.id}: share must be in (0, 1]")
 
     @classmethod
     def from_dict(cls, d: dict) -> "MinerSpec":
         # skew is set only through a fixed_skew strategy object
-        unknown = set(config_object(d, "a miner")) - {"id", "share", "clock_offset", "strategy"}
-        if unknown:
-            raise ConfigError(f"unknown miner keys: {sorted(unknown)}")
+        config_object(d, "a miner", ("id", "share", "clock_offset", "strategy"), "miner")
         strategy = d.get("strategy", HONEST)
         if strategy == HONEST:
             skew = 0.0
         elif isinstance(strategy, dict) and set(strategy) == {FIXED_SKEW}:
-            skew = finite_number(strategy[FIXED_SKEW], "skew")
+            skew = strategy[FIXED_SKEW]
         else:
             raise ConfigError(f"strategy must be {HONEST!r} or {{{FIXED_SKEW!r}: s}}, "
                               f"got {strategy!r}")
-        return cls(
-            id=whole_number(d["id"], "miner id"),
-            share=finite_number(d["share"], "share"),
-            clock_offset=finite_number(d.get("clock_offset", 0.0), "clock_offset"),
-            skew=skew,
-        )
+        return cls(d["id"], d["share"], d.get("clock_offset", 0.0), skew)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DelayModel:
-    """Propagation delay between nodes: a single scalar for every pair, or
-    a full per-pair matrix (seconds, row = sender, column = receiver)."""
+    """Propagation delay between nodes: a single scalar `tau` for every
+    pair (kind "fixed"), or a full per-pair `matrix` (kind "per_pair";
+    seconds, row = sender, column = receiver)."""
 
     kind: str
     tau: float = 0.0
-    matrix: Optional[list[list[float]]] = None
+    matrix: Optional[tuple[tuple[float, ...], ...]] = None
+
+    def __post_init__(self):
+        if self.kind == "fixed" and self.matrix is None:
+            set_fields(self, tau=finite_number(self.tau, "delay"))
+            values = (self.tau,)
+        elif self.kind == "per_pair" and self.matrix is not None and self.tau == 0:
+            m = tuple(tuple(finite_number(x, "delay") for x in row) for row in self.matrix)
+            if not m or any(len(row) != len(m) for row in m):
+                raise ConfigError("per-pair delay matrix must be square and nonempty")
+            set_fields(self, tau=0.0, matrix=m)
+            values = (x for row in m for x in row)
+        else:
+            raise ConfigError(f"a delay is fixed with a tau, or per_pair with a matrix and "
+                              f"no tau, got {self!r}")
+        if any(x < 0 for x in values):
+            raise ConfigError("delay must be nonnegative")
 
     @classmethod
     def fixed(cls, tau: float) -> "DelayModel":
-        tau = finite_number(tau, "delay")
-        if tau < 0:
-            raise ConfigError("delay must be nonnegative")
         return cls("fixed", tau=tau)
 
     @classmethod
     def per_pair(cls, matrix) -> "DelayModel":
-        m = [[finite_number(x, "delay") for x in row] for row in matrix]
-        n = len(m)
-        if n == 0 or any(len(row) != n for row in m):
-            raise ConfigError("per-pair delay matrix must be square and nonempty")
-        if any(x < 0 for row in m for x in row):
-            raise ConfigError("delay must be nonnegative")
-        return cls("per_pair", matrix=m)
+        return cls("per_pair", matrix=matrix)
 
     @classmethod
     def from_dict(cls, d: dict) -> "DelayModel":
-        if set(config_object(d, "delay")) == {"fixed"}:
+        if len(config_object(d, "delay", ("fixed", "per_pair"))) != 1:
+            raise ConfigError(f"delay must be {{'fixed': tau}} or {{'per_pair': matrix}}, got {d}")
+        if "fixed" in d:
             return cls.fixed(d["fixed"])
-        if set(d) == {"per_pair"}:
-            return cls.per_pair(d["per_pair"])
-        raise ConfigError(f"delay must be {{'fixed': tau}} or {{'per_pair': matrix}}, got {d}")
+        return cls.per_pair(d["per_pair"])
 
     def delay(self, src: int, dst: int) -> float:
         if self.kind == "fixed":
@@ -155,7 +164,7 @@ class DelayModel:
         return max(x for row in self.matrix for x in row)
 
 
-@dataclass
+@dataclass(frozen=True)
 class StopRule:
     """Run until the first node's canonical height reaches `blocks`, or
     until `duration` simulation-seconds have elapsed (then drain)."""
@@ -166,31 +175,35 @@ class StopRule:
     def __post_init__(self):
         if (self.blocks is None) == (self.duration is None):
             raise ConfigError("stop rule needs exactly one of blocks/duration")
-        if self.blocks is not None and self.blocks <= 0:
-            raise ConfigError("stop block count must be positive")
-        if self.duration is not None and self.duration <= 0:
-            raise ConfigError("stop duration must be positive")
+        if self.blocks is not None:
+            set_fields(self, blocks=whole_number(self.blocks, "stop.blocks"))
+            if self.blocks <= 0:
+                raise ConfigError("stop block count must be positive")
+        else:
+            set_fields(self, duration=finite_number(self.duration, "stop.duration"))
+            if self.duration <= 0:
+                raise ConfigError("stop duration must be positive")
 
     @classmethod
     def from_dict(cls, d: dict) -> "StopRule":
-        if set(config_object(d, "stop")) == {"blocks"}:
-            return cls(blocks=whole_number(d["blocks"], "stop.blocks"))
-        if set(d) == {"duration"}:
-            return cls(duration=finite_number(d["duration"], "stop.duration"))
-        raise ConfigError(f"stop must be {{'blocks': n}} or {{'duration': s}}, got {d}")
+        return cls(**config_object(d, "stop", [f.name for f in fields(cls)]))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
     """Complete description of one simulation scenario.
 
-    `hashrate_steps` is a list of (height, factor) pairs: once a miner's
-    tip reaches `height`, the nominal hash rate it mines with is multiplied
-    by `factor` (steps compound).  This is how scenarios model capacity
-    joining or leaving the network between retarget windows.
+    Every section checks and normalizes its own fields when it is built
+    and is frozen, so a config that exists is valid and stays so; vary one
+    with `dataclasses.replace`, which checks the result again.
+
+    `hashrate_steps` is a sequence of (height, factor) pairs: once a
+    miner's tip reaches `height`, the nominal hash rate it mines with is
+    multiplied by `factor` (steps compound).  This is how scenarios model
+    capacity joining or leaving the network between retarget windows.
     """
 
-    miners: list[MinerSpec]
+    miners: tuple[MinerSpec, ...]
     nodes: int
     delay: DelayModel
     rules: ConsensusRules
@@ -199,23 +212,20 @@ class SimConfig:
     stop: StopRule
     seed: int
     retarget_enabled: bool = True
-    hashrate_steps: list[tuple[int, float]] = field(default_factory=list)
+    hashrate_steps: tuple[tuple[int, float], ...] = ()
 
-    def validate(self) -> None:
-        numbers = [("nominal_hashrate", self.nominal_hashrate), ("delay", self.delay.tau)]
-        numbers += [("delay", x) for row in self.delay.matrix or () for x in row]
-        for m in self.miners:
-            numbers += [(f"miner {m.id} clock_offset", m.clock_offset),
-                        (f"miner {m.id} skew", m.skew)]
-        if self.stop.duration is not None:
-            numbers.append(("stop.duration", self.stop.duration))
-        numbers += [("hashrate step factor", f) for _, f in self.hashrate_steps]
-        for name, x in numbers:
-            if not math.isfinite(x):
-                raise ConfigError(f"{name} must be a finite number, got {x!r}")
-        if not isinstance(self.retarget_enabled, bool):
-            raise ConfigError(
-                f"retarget_enabled must be true or false, got {self.retarget_enabled!r}")
+    def __post_init__(self):
+        set_fields(
+            self,
+            miners=tuple(self.miners),
+            nodes=whole_number(self.nodes, "nodes"),
+            initial_difficulty=finite_number(self.initial_difficulty, "initial_difficulty"),
+            nominal_hashrate=finite_number(self.nominal_hashrate, "nominal_hashrate"),
+            seed=whole_number(self.seed, "seed"),
+            hashrate_steps=tuple((whole_number(h, "hashrate step height"),
+                                  finite_number(f, "hashrate step factor"))
+                                 for h, f in self.hashrate_steps),
+        )
         if not self.miners:
             raise ConfigError("at least one miner is required")
         total = sum(m.share for m in self.miners)
@@ -235,37 +245,34 @@ class SimConfig:
             raise ConfigError("nominal hash rate must be positive")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must be a 64-bit unsigned integer")
+        if not isinstance(self.retarget_enabled, bool):
+            raise ConfigError(
+                f"retarget_enabled must be true or false, got {self.retarget_enabled!r}")
         for h, f in self.hashrate_steps:
             if h <= 0 or f <= 0:
                 raise ConfigError("hashrate steps need positive height and factor")
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimConfig":
-        unknown = set(config_object(d, "a config")) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        config_object(d, "a config", [f.name for f in fields(cls)], "config")
         try:
             miners = [MinerSpec.from_dict(m) for m in d["miners"]]
-            cfg = cls(
+            return cls(
                 miners=miners,
-                nodes=whole_number(d.get("nodes", len(miners)), "nodes"),
+                nodes=d.get("nodes", len(miners)),
                 delay=DelayModel.from_dict(d["delay"]),
                 rules=ConsensusRules.from_dict(d.get("rules", {})),
-                initial_difficulty=finite_number(d["initial_difficulty"], "initial_difficulty"),
-                nominal_hashrate=finite_number(d["nominal_hashrate"], "nominal_hashrate"),
+                initial_difficulty=d["initial_difficulty"],
+                nominal_hashrate=d["nominal_hashrate"],
                 stop=StopRule.from_dict(d["stop"]),
-                seed=whole_number(d["seed"], "seed"),
+                seed=d["seed"],
                 retarget_enabled=d.get("retarget_enabled", True),
-                hashrate_steps=[(whole_number(h, "hashrate step height"),
-                                 finite_number(f, "hashrate step factor"))
-                                for h, f in d.get("hashrate_steps", [])],
+                hashrate_steps=d.get("hashrate_steps", ()),
             )
         except KeyError as exc:
             raise ConfigError(f"missing config key: {exc.args[0]}") from None
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from None
-        cfg.validate()
-        return cfg
 
     @classmethod
     def from_json(cls, path) -> "SimConfig":
@@ -418,7 +425,6 @@ class _Node(TipView):
 
 def run(config: SimConfig) -> SimTrace:
     """Execute one scenario to quiescence and return its trace."""
-    config.validate()
     return _Engine(config).run()
 
 

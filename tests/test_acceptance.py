@@ -15,6 +15,7 @@ measurement checks that window form itself.  See the fork-rate notes in
 the README.
 """
 
+import dataclasses
 import math
 from importlib import resources
 
@@ -23,7 +24,7 @@ import pytest
 
 import blocktime.metrics as M
 from blocktime import analytic as an
-from blocktime.sim import SimConfig, run
+from blocktime.sim import SimConfig, StopRule, run
 
 H600 = 2**32 / 600
 LAM = 1 / 600
@@ -55,18 +56,12 @@ def fig2_trace():
 
 @pytest.fixture(scope="module")
 def inference_trace():
-    cfg = scenario("baseline")
-    cfg.stop.blocks = 10080
-    cfg.seed = 1
-    return run(cfg)
+    return run(dataclasses.replace(scenario("baseline"), stop=StopRule(blocks=10080), seed=1))
 
 
 @pytest.fixture(scope="module")
 def expo_trace():
-    cfg = scenario("baseline")
-    cfg.stop.blocks = 100_000
-    cfg.seed = 0
-    return run(cfg)
+    return run(dataclasses.replace(scenario("baseline"), stop=StopRule(blocks=100_000), seed=0))
 
 
 def test_criterion_1_entropy_constants():

@@ -186,10 +186,11 @@ class TestRaceMonteCarlo:
         for seed in (1.5, -1):
             with pytest.raises(ValueError, match="seed"):
                 M.race_monte_carlo(0.3, 3, 1000, seed=seed)
-        # integral floats are whole numbers, booleans are not numbers
+        # integral floats are whole numbers, booleans and strings are not numbers
         assert M.race_monte_carlo(0.3, 3, 1000.0, seed=1.0) == M.race_monte_carlo(0.3, 3, 1000, seed=1)
         for args, name in [((0.3, True, 1000, 1), "k"), ((0.3, 3, True, 1), "trials"),
-                           ((0.3, 3, 1000, True), "seed"), ((0.6, 3, 1000, 1, True), "step_cap")]:
+                           ((0.3, 3, 1000, True), "seed"), ((0.6, 3, 1000, 1, True), "step_cap"),
+                           ((0.3, "5", 1000, 0), "k")]:
             with pytest.raises(ValueError, match=f"{name} must be a number"):
                 M.race_monte_carlo(*args)
 

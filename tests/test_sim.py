@@ -93,8 +93,14 @@ class TestConfigValidation:
         ("seed", True),
         ("delay", {"fixed": False}),
         ("initial_difficulty", True),
-    ], ids=["share", "nodes", "seed", "delay", "initial_difficulty"])
+        ("seed", "7"),
+        ("nominal_hashrate", "7158278.8"),
+        ("initial_difficulty", "1"),
+        ("nodes", [2]),
+    ], ids=["share", "nodes", "seed", "delay", "initial_difficulty", "seed-string",
+            "nominal_hashrate-string", "initial_difficulty-string", "nodes-list"])
     def test_booleans_are_not_numbers(self, key, value):
+        # nor are strings, which float() and int() would parse
         name = {"miners": "share"}.get(key, key)
         with pytest.raises(ConfigError, match=f"{name} must be a number"):
             cfg(**{key: value})
@@ -124,20 +130,37 @@ class TestConfigValidation:
         "nominal_hashrate", "clock_offset", "skew", "tau", "matrix", "duration", "step factor",
     ])
     def test_validate_rejects_non_finite(self, field, bad):
-        # a config built in code gets the checks from_dict applies to JSON
+        # a section built in code gets the checks from_dict applies to JSON
         base = cfg(miners=[{"id": 0, "share": 1.0}], nodes=2)
-        changes = {
-            "nominal_hashrate": {"nominal_hashrate": bad},
-            "clock_offset": {"miners": [MinerSpec(0, 1.0, clock_offset=bad)]},
-            "skew": {"miners": [MinerSpec(0, 1.0, skew=bad)]},
-            "tau": {"delay": DelayModel("fixed", tau=bad)},
-            "matrix": {"delay": DelayModel("per_pair", matrix=[[0.0, 1.0], [bad, 0.0]])},
-            "duration": {"stop": StopRule(duration=bad)},
-            "step factor": {"hashrate_steps": [(10, bad)]},
+        build = {
+            "nominal_hashrate": lambda: dataclasses.replace(base, nominal_hashrate=bad),
+            "clock_offset": lambda: MinerSpec(0, 1.0, clock_offset=bad),
+            "skew": lambda: MinerSpec(0, 1.0, skew=bad),
+            "tau": lambda: DelayModel("fixed", tau=bad),
+            "matrix": lambda: DelayModel("per_pair", matrix=[[0.0, 1.0], [bad, 0.0]]),
+            "duration": lambda: StopRule(duration=bad),
+            "step factor": lambda: dataclasses.replace(base, hashrate_steps=[(10, bad)]),
         }[field]
-        base.validate()
         with pytest.raises(ConfigError, match="finite"):
-            dataclasses.replace(base, **changes).validate()
+            build()
+
+    @pytest.mark.parametrize("build, error", [
+        (lambda c: DelayModel("fixed", tau=-500.0), ConfigError),
+        (lambda c: DelayModel("per_pair", matrix=[[0.0, -1.0], [1.0, 0.0]]), ConfigError),
+        (lambda c: DelayModel("per_pair", matrix=[[0.0, 1.0], [1.0]]), ConfigError),
+        (lambda c: DelayModel("gossip", tau=1.0), ConfigError),
+        (lambda c: dataclasses.replace(c, nodes=2.5), ConfigError),
+        (lambda c: dataclasses.replace(c, seed="7"), ConfigError),
+        (lambda c: setattr(c.stop, "blocks", 0), dataclasses.FrozenInstanceError),
+        (lambda c: setattr(c.rules, "retarget_interval", 0), dataclasses.FrozenInstanceError),
+        (lambda c: setattr(c.miners[0], "share", 0.3), dataclasses.FrozenInstanceError),
+    ], ids=["negative-tau", "negative-matrix", "ragged-matrix", "unknown-kind",
+            "fractional-nodes", "string-seed", "stop-blocks", "retarget-interval", "share"])
+    def test_no_invalid_config_exists(self, build, error):
+        # built in code or changed after the fact, an invalid config cannot
+        # reach run: every section checks itself when built and is frozen
+        with pytest.raises(error):
+            build(cfg())
 
     def test_bad_strategy(self):
         with pytest.raises(ConfigError):
