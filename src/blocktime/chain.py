@@ -23,7 +23,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, fields
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 GENESIS_ID = 0
 GENESIS_MINER = -1
@@ -113,6 +113,15 @@ def config_object(value, name: str, keys, kind: Optional[str] = None) -> dict:
     return value
 
 
+def config_list(value, name: str, length: Optional[int] = None) -> tuple:
+    """`value` as a tuple; ConfigError unless it is a JSON array (a list or
+    tuple), of `length` entries when that is given."""
+    if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
+        shape = "a JSON array" if length is None else f"a JSON array of {length}"
+        raise ConfigError(f"{name} must be {shape}, got {value!r}")
+    return tuple(value)
+
+
 def whole_number(value, name: str) -> int:
     """`value` as an int; ConfigError unless it is an integral real number
     (2.0 passes; 2.5, NaN, Infinity, booleans and strings do not)."""
@@ -153,10 +162,6 @@ class TipChange(NamedTuple):
     old_tip: int
     new_tip: int
     reorg_depth: int
-
-    @property
-    def changed(self) -> bool:
-        return self.new_tip != self.old_tip
 
 
 class ChainStore:
@@ -325,25 +330,13 @@ BLOCK_CSV_FIELDS = (
 )
 
 
-def blocks_to_rows(blocks: Iterable[Block]) -> list[list]:
-    """Typed rows of the chain-dump format, one per block, parents first.
-
-    Cumulative work is recomputed from the parent links, so the input must
-    list every parent before its children (id order from a simulation run
-    satisfies that).  Genesis has parent None.
+def blocks_to_rows(blocks: Iterable[Block], work: Mapping[int, float]) -> list[list]:
+    """Typed rows of the chain-dump format, one per block in the order
+    given, with the cumulative work `work` records for it (a ChainStore's
+    `work`).  Genesis has parent None.
     """
-    work: dict[int, float] = {}
-    rows = []
-    for b in blocks:
-        if b.parent is None:
-            work[b.id] = b.difficulty
-        else:
-            if b.parent not in work:
-                raise MissingParent(f"parent {b.parent} of block {b.id} not listed first")
-            work[b.id] = work[b.parent] + b.difficulty
-        rows.append([b.id, b.parent, b.height, b.miner, b.timestamp,
-                     b.difficulty, work[b.id], b.found_at])
-    return rows
+    return [[b.id, b.parent, b.height, b.miner, b.timestamp, b.difficulty, work[b.id], b.found_at]
+            for b in blocks]
 
 
 _encode_str = json.encoder.encode_basestring_ascii

@@ -124,7 +124,8 @@ def fork_rate(trace: SimTrace) -> ComparisonReport:
     analytic = fork_probability(lam, cfg.delay.max_delay())
     warning = None
     if cfg.delay.kind == "per_pair":
-        warning = "heterogeneous delays: analytic value is a bound at the max pairwise delay"
+        warning = ("heterogeneous delays: analytic value is the per-window form at the max "
+                   "pairwise delay, not a bound")
     empirical = len(trace.fork_episodes) / n
     return _binomial_report("fork_rate", analytic, empirical, n, warning)
 

@@ -12,7 +12,10 @@ the block, which moves its tip by the tip rule.  Miner i mines on node i,
 stamps each block with that node's clock plus its own skew (clamped up to
 median-past-time + 1), and redraws its next discovery whenever that
 node's tip moves, which by memorylessness is distributionally identical
-to continuing the pending draw.
+to continuing the pending draw; a discovery drawn on a tip its miner has
+since left is stale.  Both stop rules end through one drain: past the
+stop duration, or once node 0 reaches the stop height, no discovery
+happens and no miner redraws, and every block in flight is delivered.
 
 A run is a pure function of (config, seed): one RNG stream is consumed in
 event order and event ties are broken by a global sequence number, so two
@@ -45,6 +48,7 @@ from .chain import (
     ConsensusRules,
     TipView,
     blocks_to_rows,
+    config_list,
     config_object,
     finite_number,
     make_genesis,
@@ -126,7 +130,8 @@ class DelayModel:
             set_fields(self, tau=finite_number(self.tau, "delay"))
             values = (self.tau,)
         elif self.kind == "per_pair" and self.matrix is not None and self.tau == 0:
-            m = tuple(tuple(finite_number(x, "delay") for x in row) for row in self.matrix)
+            m = tuple(tuple(finite_number(x, "delay") for x in config_list(row, "per_pair row"))
+                      for row in config_list(self.matrix, "per_pair"))
             if not m or any(len(row) != len(m) for row in m):
                 raise ConfigError("per-pair delay matrix must be square and nonempty")
             set_fields(self, tau=0.0, matrix=m)
@@ -166,8 +171,9 @@ class DelayModel:
 
 @dataclass(frozen=True)
 class StopRule:
-    """Run until the first node's canonical height reaches `blocks`, or
-    until `duration` simulation-seconds have elapsed (then drain)."""
+    """Stop discovering once node 0's tip reaches height `blocks`, or after
+    `duration` simulation-seconds; then drain: every block found is still
+    delivered, so tip changes can follow the stop."""
 
     blocks: Optional[int] = None
     duration: Optional[float] = None
@@ -215,16 +221,18 @@ class SimConfig:
     hashrate_steps: tuple[tuple[int, float], ...] = ()
 
     def __post_init__(self):
+        steps = [config_list(step, "hashrate_steps entry", 2)
+                 for step in config_list(self.hashrate_steps, "hashrate_steps")]
         set_fields(
             self,
-            miners=tuple(self.miners),
+            miners=config_list(self.miners, "miners"),
             nodes=whole_number(self.nodes, "nodes"),
             initial_difficulty=finite_number(self.initial_difficulty, "initial_difficulty"),
             nominal_hashrate=finite_number(self.nominal_hashrate, "nominal_hashrate"),
             seed=whole_number(self.seed, "seed"),
             hashrate_steps=tuple((whole_number(h, "hashrate step height"),
                                   finite_number(f, "hashrate step factor"))
-                                 for h, f in self.hashrate_steps),
+                                 for h, f in steps),
         )
         if not self.miners:
             raise ConfigError("at least one miner is required")
@@ -256,7 +264,7 @@ class SimConfig:
     def from_dict(cls, d: dict) -> "SimConfig":
         config_object(d, "a config", [f.name for f in fields(cls)], "config")
         try:
-            miners = [MinerSpec.from_dict(m) for m in d["miners"]]
+            miners = [MinerSpec.from_dict(m) for m in config_list(d["miners"], "miners")]
             return cls(
                 miners=miners,
                 nodes=d.get("nodes", len(miners)),
@@ -318,15 +326,17 @@ class ForkEpisode(NamedTuple):
 class SimTrace:
     """Everything a run produced, immutable once returned.
 
-    blocks is indexed by block id and includes stale blocks; tip_events
-    records every per-node tip change (reorg_depth 0 = plain extension);
-    difficulty_history records each retarget as (boundary height, new
-    difficulty for the following window).  The canonical chain is node 0's:
-    the path from genesis to its final tip.
+    blocks is indexed by block id and includes stale blocks; work is the
+    store's own cumulative work per block id, which the export reads;
+    tip_events records every per-node tip change (reorg_depth 0 = plain
+    extension); difficulty_history records each retarget as (boundary
+    height, new difficulty for the following window).  The canonical chain
+    is node 0's: the path from genesis to its final tip.
     """
 
     config: SimConfig
     blocks: list[Block]
+    work: dict[int, float]
     tip_events: list[TipEvent]
     fork_episodes: list[ForkEpisode]
     difficulty_history: list[tuple[int, float]]
@@ -367,9 +377,6 @@ class SimTrace:
             counts[m] = counts.get(m, 0) + 1
         return counts
 
-    def final_difficulty(self) -> float:
-        return self.blocks[self.final_tips[0]].difficulty
-
     def summary(self) -> dict:
         return {
             "seed": self.config.seed,
@@ -377,7 +384,7 @@ class SimTrace:
             "canonical_height": self.canonical_height(),
             "fork_episodes": len(self.fork_episodes),
             "max_reorg_depth": self.max_reorg_depth(),
-            "final_difficulty": self.final_difficulty(),
+            "final_difficulty": self.blocks[self.final_tips[0]].difficulty,
             "rejections": len(self.rejections),
             "agreement": self.agreement(),
         }
@@ -393,7 +400,7 @@ class SimTrace:
         """
         os.makedirs(outdir, exist_ok=True)
         tables = {
-            "blocks": (BLOCK_CSV_FIELDS, blocks_to_rows(self.blocks)),
+            "blocks": (BLOCK_CSV_FIELDS, blocks_to_rows(self.blocks, self.work)),
             "tip_changes": (TipEvent._fields, self.tip_events),
             "forks": (
                 ForkEpisode._fields,
@@ -414,11 +421,10 @@ class _Node(TipView):
     """One node: its view of the shared store, its clock offset, and the
     blocks parked until their parent is accepted."""
 
-    __slots__ = ("index", "clock_offset", "pending")
+    __slots__ = ("clock_offset", "pending")
 
-    def __init__(self, store: ChainStore, index: int, clock_offset: float):
+    def __init__(self, store: ChainStore, clock_offset: float):
         super().__init__(store)
-        self.index = index
         self.clock_offset = clock_offset
         self.pending: dict[int, list[Block]] = {}
 
@@ -437,26 +443,26 @@ class _Engine:
         self.nodes: list[_Node] = []
         for i in range(config.nodes):
             offset = config.miners[i].clock_offset if i < len(config.miners) else 0.0
-            self.nodes.append(_Node(self.store, i, offset))
+            self.nodes.append(_Node(self.store, offset))
         # (receiver, delay) of every other node, per miner: a block goes
         # straight from the node that found it to each other node
         self.fanout = [
             [(dst, config.delay.delay(src, dst)) for dst in range(config.nodes) if dst != src]
             for src in range(len(config.miners))
         ]
-        self.versions = [0] * len(config.miners)
         self.heap: list = []
         self.seq = itertools.count()
-        self.draining = False
+        # no discovery happens after this: -inf once node 0 reaches stop height
+        self.horizon = math.inf if config.stop.duration is None else config.stop.duration
         # retargeted difficulty per stored boundary block, in id order: the
         # trace's difficulty_history is read from it
         self.next_diff: dict[int, float] = {}
         self.tip_events: list[TipEvent] = []
         self.rejections: list[Rejection] = []
         self.warnings = [
-            ClockAdvisory(n.index, n.clock_offset,
+            ClockAdvisory(i, n.clock_offset,
                           "local clock differs from network time by more than 10 minutes")
-            for n in self.nodes if abs(n.clock_offset) > CLOCK_WARN_OFFSET
+            for i, n in enumerate(self.nodes) if abs(n.clock_offset) > CLOCK_WARN_OFFSET
         ]
 
     # ---- difficulty and rates -------------------------------------------
@@ -478,36 +484,38 @@ class _Engine:
     def schedule_find(self, miner_idx: int, now: float) -> None:
         """(Re)draw the miner's next discovery on its node's current tip.
 
-        Bumping the version lazily cancels whatever discovery event was
-        pending for this miner.
+        The event carries the tip it builds on, and handle_found drops it
+        once that is no longer its miner's tip.  The test is exact: a tip
+        moves only to strictly more work, so it never returns to a block it
+        left, and each handler that moves a miner's tip redraws once (or is
+        past the horizon, where handle_found drops every discovery).  So
+        the latest draw is the only pending one whose parent is the tip.
         """
-        self.versions[miner_idx] += 1
         tip = self.blocks[self.nodes[miner_idx].tip]
         rate = self.miner_rate(miner_idx, tip)
         dt = self.rng.exponential(1.0 / rate)
-        heapq.heappush(self.heap, (
-            now + dt, next(self.seq), _EV_FOUND,
-            miner_idx, tip.id, self.versions[miner_idx],
-        ))
+        heapq.heappush(self.heap, (now + dt, next(self.seq), _EV_FOUND, miner_idx, tip.id))
 
-    def tip_moved(self, node: _Node, now: float) -> None:
+    def tip_moved(self, node_idx: int, now: float) -> None:
         """Once per handler that moved a miner's node's tip: node 0 reaching
-        the stop height starts the drain, and the miner redraws.  Nothing
-        follows a move on a node that does not mine (node 0 mines)."""
+        the stop height ends discovery, and the miner redraws unless past
+        the horizon, where its draw would be dropped (the RNG feeds nothing
+        else).  Nothing follows a move on a node that does not mine (node 0
+        mines)."""
         stop = self.cfg.stop.blocks
-        if (stop is not None and node.index == 0
-                and self.blocks[node.tip].height >= stop):
-            self.draining = True
-        if not self.draining:
-            self.schedule_find(node.index, now)
+        if (stop is not None and node_idx == 0
+                and self.blocks[self.nodes[0].tip].height >= stop):
+            self.horizon = -math.inf
+        if now <= self.horizon:
+            self.schedule_find(node_idx, now)
 
     # ---- event handlers ---------------------------------------------------
 
-    def handle_found(self, now: float, miner_idx: int, parent_id: int, version: int) -> None:
-        if self.draining or version != self.versions[miner_idx]:
-            return
-        spec = self.cfg.miners[miner_idx]
+    def handle_found(self, now: float, miner_idx: int, parent_id: int) -> None:
         node = self.nodes[miner_idx]
+        if now > self.horizon or parent_id != node.tip:
+            return  # past the horizon, or stale: the miner redrew since
+        spec = self.cfg.miners[miner_idx]
         parent = self.blocks[parent_id]
         mpt = median_past_time(self.store, parent_id)
         local = now + spec.clock_offset + spec.skew
@@ -536,11 +544,11 @@ class _Engine:
         old_tip, new_tip, depth = node.accept(bid)
         if new_tip != old_tip:
             self.tip_events.append(TipEvent(now, miner_idx, new_tip, depth))
-            self.tip_moved(node, now)
+            self.tip_moved(miner_idx, now)
 
         heap, seq, push = self.heap, self.seq, heapq.heappush
         for dst, delay in self.fanout[miner_idx]:
-            push(heap, (now + delay, next(seq), _EV_DELIVER, dst, bid, 0))
+            push(heap, (now + delay, next(seq), _EV_DELIVER, dst, bid))
 
     def handle_deliver(self, now: float, node_idx: int, block_id: int) -> None:
         node = self.nodes[node_idx]
@@ -570,14 +578,13 @@ class _Engine:
                 if parked:
                     queue.extend(parked)
         if moved and node_idx < len(self.cfg.miners):
-            self.tip_moved(node, now)
+            self.tip_moved(node_idx, now)
 
     # ---- main loop --------------------------------------------------------
 
     def run(self) -> SimTrace:
         for m in range(len(self.cfg.miners)):
             self.schedule_find(m, 0.0)
-        duration = self.cfg.stop.duration
         heap, pop = self.heap, heapq.heappop
         found, deliver = self.handle_found, self.handle_deliver
         # no cycles to collect (see the module docstring)
@@ -585,11 +592,9 @@ class _Engine:
         gc.disable()
         try:
             while heap:
-                now, _, kind, a, b, c = pop(heap)
+                now, _, kind, a, b = pop(heap)
                 if kind == _EV_FOUND:
-                    if duration is not None and now > duration:
-                        continue  # discovery falls past the horizon: never happens
-                    found(now, a, b, c)
+                    found(now, a, b)
                 else:
                     deliver(now, a, b)
         finally:
@@ -599,6 +604,7 @@ class _Engine:
         return SimTrace(
             config=self.cfg,
             blocks=list(self.blocks.values()),
+            work=self.store.work,
             tip_events=self.tip_events,
             fork_episodes=episodes,
             difficulty_history=[(0, self.cfg.initial_difficulty)] + [
@@ -614,20 +620,17 @@ class _Engine:
         while bid is not None:
             canonical.add(bid)
             bid = self.blocks[bid].parent
-        kids_of = defaultdict(list)  # parents in first-kid id order
+        # ids are given in pop order, so id order is found_at order (ties in
+        # id order): kid lists, and parents in first-kid order, need no sort
+        kids_of = defaultdict(list)
         for b in self.blocks.values():
             if b.parent is not None:
                 kids_of[b.parent].append(b.id)
-        episodes = []
-        for kids in kids_of.values():
-            if len(kids) < 2:
-                continue
-            kids = sorted(kids, key=lambda i: self.blocks[i].found_at)
-            winner = next((k for k in kids if k in canonical), None)
-            episodes.append(ForkEpisode(
+        return [
+            ForkEpisode(
                 window_start=self.blocks[kids[0]].found_at,
                 blocks=tuple(kids),
-                winner=winner,
-            ))
-        episodes.sort(key=lambda e: e.window_start)
-        return episodes
+                winner=next((k for k in kids if k in canonical), None),
+            )
+            for kids in kids_of.values() if len(kids) > 1
+        ]

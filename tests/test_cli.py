@@ -310,14 +310,20 @@ class TestSimulateCommand:
         ({"miners": [5]}, None),
         ({"miners": [{"id": 0, "share": 1.0, "clock_ofset": -5000}]}, None),
         ({"retarget_enabled": "false"}, None),
-        ({"rules": 5}, "rules"),
-        ({"rules": None}, "rules"),
-        ({"rules": ["retarget_interval"]}, "rules"),
-        ({"delay": 5}, "delay"),
-        ({"stop": None}, "stop"),
+        ({"rules": 5}, "rules must be a JSON object"),
+        ({"rules": None}, "rules must be a JSON object"),
+        ({"rules": ["retarget_interval"]}, "rules must be a JSON object"),
+        ({"delay": 5}, "delay must be a JSON object"),
+        ({"stop": None}, "stop must be a JSON object"),
+        ({"miners": 5}, "miners must be a JSON array"),
+        ({"hashrate_steps": 5}, "hashrate_steps must be a JSON array"),
+        ({"hashrate_steps": [[1, 2, 3]]}, "hashrate_steps entry must be a JSON array of 2"),
+        ({"delay": {"per_pair": 5}}, "per_pair must be a JSON array"),
+        ({"delay": {"per_pair": [5]}}, "per_pair row must be a JSON array"),
     ], ids=["null", "number", "list", "miner-number", "miner-unknown-key",
             "retarget-enabled-string", "rules-number", "rules-null", "rules-list",
-            "delay-number", "stop-null"])
+            "delay-number", "stop-null", "miners-number", "steps-number", "step-triple",
+            "per-pair-number", "per-pair-row-number"])
     def test_malformed_config_exits_one(self, capsys, tmp_path, config, named):
         if isinstance(config, dict):
             d = json.loads((resources.files("blocktime") / "scenarios" / "baseline.json")
@@ -333,8 +339,8 @@ class TestSimulateCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
         if named is not None:
-            # the message names the key, not Python's internal text
-            assert err.startswith(f"error: {named} must be a JSON object, got ")
+            # the message names the key and its shape, not Python's internal text
+            assert err.startswith(f"error: {named}, got ")
 
     def test_unexpected_failure_exits_two(self, capsys, tmp_path, monkeypatch):
         def broken(cfg):

@@ -1,10 +1,10 @@
 """Golden bytes: the sha256 of every file the CLI writes for the bundled
 fig2, baseline and retarget scenarios (CSV and JSON, plus reports.csv for
 baseline), for a short retarget-demo and for the entropy curve at its
-defaults; the same for two small inline networks that reach paths no
-bundled scenario does; the stdout of a simulate run with a clock advisory;
-and the exact floats race_monte_carlo returns for a set of (q, k, trials,
-seed, step_cap).
+defaults; the same for three small inline networks that reach paths no
+bundled scenario does (one of them stops on a duration); the stdout of a
+simulate run with a clock advisory; and the exact floats race_monte_carlo
+returns for a set of (q, k, trials, seed, step_cap).
 
 Criterion 9 only compares two runs of the same code; these digests pin the
 output of an earlier commit, so a refactor that changes any output byte
@@ -262,6 +262,80 @@ def test_release_config_reaches_its_paths(monkeypatch):
     assert any((n, b.parent) in rejected for b in trace.blocks
                for n in range(RELEASE_CONFIG["nodes"])
                if n != b.miner)
+
+
+# Stops on a duration, not on blocks: per-pair delays up to 500 s, a node
+# that does not mine, and a horizon that falls while blocks are still in
+# flight, so the run drains deliveries after discoveries stop.
+DURATION_CONFIG = {
+    "miners": [
+        {"id": 0, "share": 0.5},
+        {"id": 1, "share": 0.3, "clock_offset": 30.0},
+        {"id": 2, "share": 0.2},
+    ],
+    "nodes": 4,
+    "delay": {"per_pair": [
+        [0.0, 240.0, 60.0, 400.0],
+        [90.0, 0.0, 300.0, 150.0],
+        [200.0, 45.0, 0.0, 500.0],
+        [80.0, 120.0, 30.0, 0.0],
+    ]},
+    "rules": {"retarget_interval": 8},
+    "initial_difficulty": 1.0,
+    "nominal_hashrate": 2**32 / 300,
+    "stop": {"duration": 12000.0},
+    "seed": 1,
+}
+
+DURATION_GOLDEN = {
+    "csv": {
+        "blocks.csv": "e01663405db2e8355c60d46833b52135114f4a7caa487bfc12518c401fb98634",
+        "difficulty.csv": "91fcad927493920d6d0a029d1edccd3d60b131ac428b9569fc3152ab189eea20",
+        "forks.csv": "cda8718895167653eb2962656093e198132e710a471c4a239a663f00d03cae2f",
+        "tip_changes.csv": "0f61a7bc0f8e62ae5ae9e10f2b28b264962b0267dc08ec5318d548d44f1f5075",
+    },
+    "json": {
+        "blocks.json": "a9182b430ae2f89fed0341fdfdf9db58ebecae70f0b166cc034c96693351b4da",
+        "difficulty.json": "c429bbc2813815b2c527c63925de897d9923746f877d19be418bb9ab2260100a",
+        "forks.json": "598d0899041dacec9855775cfbb27fd3c8be5cd4e452270ec7c4cddd9ade32e6",
+        "tip_changes.json": "7971ddbbc9162752480bf9418278df5ae4bec71e5659b86142ab9992e0f1c7ec",
+    },
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(DURATION_GOLDEN))
+def test_duration_config_bytes(fmt, tmp_path, capsys):
+    config = tmp_path / "duration.json"
+    config.write_text(json.dumps(DURATION_CONFIG))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(config), "--format", fmt, "--outdir", str(out)]) == 0
+    capsys.readouterr()
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert written == DURATION_GOLDEN[fmt]
+
+
+def test_duration_config_reaches_its_paths(monkeypatch):
+    # every handler call in pop order, as (kind, event time)
+    handled = []
+    found, deliver = sim._Engine.handle_found, sim._Engine.handle_deliver
+
+    def logged_found(self, now, *args):
+        handled.append(("found", now))
+        return found(self, now, *args)
+
+    def logged_deliver(self, now, *args):
+        handled.append(("deliver", now))
+        return deliver(self, now, *args)
+
+    monkeypatch.setattr(sim._Engine, "handle_found", logged_found)
+    monkeypatch.setattr(sim._Engine, "handle_deliver", logged_deliver)
+    trace = run(SimConfig.from_dict(DURATION_CONFIG))
+    horizon = DURATION_CONFIG["stop"]["duration"]
+    past = [i for i, (kind, now) in enumerate(handled) if kind == "found" and now > horizon]
+    assert past  # a discovery popped past the horizon ...
+    assert any(kind == "deliver" for kind, _ in handled[past[0]:])  # ... and deliveries ran on
+    assert max(b.found_at for b in trace.blocks) <= horizon
+    assert any(e.time > horizon for e in trace.tip_events)
 
 
 # A miner whose clock is 900 s behind gets the ten-minute advisory; the

@@ -319,6 +319,17 @@ class TestForkRate:
         rep = M.fork_rate(tr)
         assert "max pairwise delay" in rep.warning
 
+    def test_per_pair_window_form_is_not_a_bound(self):
+        # the window form is second order in lam * tau and fork episodes are
+        # first order, so on per-pair delays the count lies far above it
+        tr = sim(miners=two_miners(0.5), nodes=2, delay={"per_pair": [[0.0, 30.0], [60.0, 0.0]]},
+                 stop={"blocks": 2000})
+        rep = M.fork_rate(tr)
+        assert rep.warning == ("heterogeneous delays: analytic value is the per-window form "
+                               "at the max pairwise delay, not a bound")
+        assert rep.analytic == an.fork_probability(1 / 600, 60.0)
+        assert rep.empirical > 3 * rep.analytic and rep.z > 3
+
 
 def two_miners(share):
     return [{"id": 0, "share": share}, {"id": 1, "share": 1 - share}]

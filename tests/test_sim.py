@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blocktime import sim
-from blocktime.chain import ChainStore, ConsensusRules, retarget
+from blocktime.chain import (BLOCK_CSV_FIELDS, ChainStore, ConsensusRules, blocks_to_rows,
+                             retarget)
 from blocktime.sim import (ConfigError, DelayModel, ForkEpisode, MinerSpec, SimConfig, StopRule,
                            run)
 from test_golden import INLINE_CONFIG
@@ -515,6 +516,15 @@ def test_trace_structure(config):
     for b in blocks[1:]:
         store.insert(b)
 
+    # ids are given in discovery order; the exported work of each block is
+    # its parent's plus its own difficulty
+    assert [b.id for b in blocks] == list(range(len(blocks)))
+    assert all(a.found_at <= b.found_at for a, b in zip(blocks, blocks[1:]))
+    column = BLOCK_CSV_FIELDS.index("cumulative_work")
+    work = [row[column] for row in blocks_to_rows(blocks, trace.work)]
+    assert work[0] == blocks[0].difficulty
+    assert all(work[b.id] == work[b.parent] + b.difficulty for b in blocks[1:])
+
     # replaying each node's tip events reaches its final tip; every move is
     # to strictly more work and reports old tip height - fork point height
     tips = [0] * config.nodes
@@ -540,6 +550,8 @@ def test_trace_structure(config):
             episodes.append(ForkEpisode(blocks[kids[0]].found_at, tuple(kids), winner))
     episodes.sort(key=lambda e: e.window_start)
     assert trace.fork_episodes == episodes
+    assert all(list(e.blocks) == sorted(set(e.blocks)) for e in episodes)
+    assert all(a.window_start <= b.window_start for a, b in zip(episodes, episodes[1:]))
 
     # one retarget per stored boundary block, in id order, and each child
     # mines at the difficulty its parent prescribes
