@@ -35,6 +35,7 @@ from .chain import (
 from .metrics import (
     ComparisonReport,
     ExponentialityResult,
+    OutsideSetting,
     estimate_lambda,
     entropy_trajectory,
     exponentiality_diagnostic,
@@ -45,6 +46,7 @@ from .metrics import (
     race_monte_carlo,
     reorg_depth_histogram,
     tail_frequency,
+    trace_reports,
 )
 from .sim import (
     ConfigError,

@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+from contextlib import suppress
 from importlib import resources
 
 from . import analytic, metrics
@@ -122,21 +123,11 @@ def cmd_simulate(args) -> int:
 
 def _emit_reports(trace, outdir) -> str:
     """Confront the trace with the closed forms and write reports.csv."""
-    reports = []
-    if trace.config.delay.max_delay() > 0:
-        reports.append(metrics.fork_rate(trace))
-        try:
-            reports.append(metrics.fork_episode_rate(trace))
-        except ValueError:
-            pass  # the trace lies outside the per-block form's derived setting
-        reports.append(metrics.multi_discovery_window_rate(trace))
-    deltas = trace.canonical_deltas()
-    if deltas.size >= 2:
-        reports.append(metrics.tail_frequency(deltas, 6360.0))
+    reports = metrics.trace_reports(trace)
     for rep in reports:
         print(f"  {rep}")
-    if deltas.size >= 100:
-        print(f"  {metrics.exponentiality_diagnostic(deltas)}")
+    with suppress(metrics.OutsideSetting):  # printed only, not a reports.csv row
+        print(f"  {metrics.exponentiality_diagnostic(trace.canonical_deltas())}")
     path = os.path.join(outdir, "reports.csv")
     metrics.write_reports_csv(reports, path)
     return path

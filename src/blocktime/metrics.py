@@ -6,17 +6,22 @@ the empirical value, the sample size, a binomial/normal standard error and
 the resulting z-score.  Comparisons whose expected event count is below 10
 are flagged as under-powered instead of being treated as pass/fail
 evidence.  All estimators are pure over immutable traces.
+
+`trace_reports` is the comparison table; it leaves out a row only when its
+comparator raises OutsideSetting (trace outside its setting, or too short).
 """
 
 import math
 import os
 import threading
-from dataclasses import dataclass
+from contextlib import suppress
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .analytic import (
+    FORK_EPISODES_MAX_LAMTAU,
     bernoulli_entropy,
     discovery_cdf,
     entropy_peak_time,
@@ -35,6 +40,17 @@ UNDERPOWERED_EVENTS = 10
 # honest only for large n, hence the n >= 100 floor on the diagnostic.
 KS_CRITICAL_COEFF = 1.63
 
+TAIL_THRESHOLD = 6360.0  # tail-row threshold: 106 min, 10.6 target spacings (criterion 2)
+
+
+class OutsideSetting(ValueError):
+    """A trace outside a closed form's setting, or too short; names the condition."""
+
+
+def _require(holds: bool, condition: str) -> None:
+    if not holds:
+        raise OutsideSetting(condition)
+
 
 @dataclass
 class ComparisonReport:
@@ -45,9 +61,6 @@ class ComparisonReport:
     stderr: float
     z: float
     warning: Optional[str] = None
-
-    def row(self) -> list:
-        return [self.quantity, self.analytic, self.empirical, self.n, self.stderr, self.z]
 
     def __str__(self) -> str:
         s = (f"{self.quantity}: analytic={self.analytic:.6g} "
@@ -71,20 +84,17 @@ def _binomial_report(quantity: str, analytic: float, empirical: float, n: int,
     return ComparisonReport(quantity, analytic, empirical, n, stderr, z, warning)
 
 
-def _as_deltas(sample: Sequence[float]) -> np.ndarray:
+def _as_deltas(sample: Sequence[float], at_least: int) -> np.ndarray:
     deltas = np.asarray(sample, dtype=float)
-    if deltas.ndim != 1 or deltas.size == 0:
-        raise ValueError("sample must be a nonempty 1-d sequence of intervals")
-    if np.any(deltas <= 0):
-        raise ValueError("intervals must be positive")
+    if deltas.ndim != 1 or np.any(deltas <= 0):
+        raise ValueError("sample must be a 1-d sequence of positive intervals")
+    _require(deltas.size >= at_least, f"need at least {at_least} intervals, got {deltas.size}")
     return deltas
 
 
 def estimate_lambda(sample: Sequence[float]) -> float:
     """Maximum-likelihood arrival rate for exponential intervals: n / sum."""
-    deltas = _as_deltas(sample)
-    if deltas.size < 2:
-        raise ValueError("need at least 2 intervals to estimate a rate")
+    deltas = _as_deltas(sample, 2)
     return deltas.size / float(deltas.sum())
 
 
@@ -112,21 +122,34 @@ def hashrate_inference_windows(trace: SimTrace, window: int) -> list[float]:
     return out
 
 
+def _nominal_rate(cfg) -> float:
+    return cfg.nominal_hashrate * theta_from_difficulty(cfg.initial_difficulty)
+
+
+def _propagation_window(trace: SimTrace) -> float:
+    tau = trace.config.delay.max_delay()
+    _require(tau > 0, "fork rows need a positive propagation delay")
+    return tau
+
+
+def _episodes_per_block(trace: SimTrace) -> tuple[float, int]:
+    """Fork episodes per canonical block, and the canonical height."""
+    n = trace.canonical_height()
+    _require(n >= 1, "trace has no canonical blocks")
+    return len(trace.fork_episodes) / n, n
+
+
 def fork_rate(trace: SimTrace) -> ComparisonReport:
     """Observed fork episodes per canonical block against the two-or-more
     discoveries-per-window form evaluated at the configured arrival rate
     and the largest pairwise delay."""
-    n = trace.canonical_height()
-    if n < 1:
-        raise ValueError("trace has no canonical blocks")
+    empirical, n = _episodes_per_block(trace)
     cfg = trace.config
-    lam = cfg.nominal_hashrate * theta_from_difficulty(cfg.initial_difficulty)
-    analytic = fork_probability(lam, cfg.delay.max_delay())
+    analytic = fork_probability(_nominal_rate(cfg), cfg.delay.max_delay())
     warning = None
     if cfg.delay.kind == "per_pair":
         warning = ("heterogeneous delays: analytic value is the per-window form at the max "
                    "pairwise delay, not a bound")
-    empirical = len(trace.fork_episodes) / n
     return _binomial_report("fork_rate", analytic, empirical, n, warning)
 
 
@@ -138,26 +161,20 @@ def fork_episode_rate(trace: SimTrace) -> ComparisonReport:
     side differs.  The closed form is derived for two miners on one fixed
     delay at a constant rate, so a trace from any other setting (miner
     count other than two, per-pair delays, retargeting, hash-rate steps,
-    or any timestamp rejection) raises ValueError rather than being
-    compared.
+    any timestamp rejection, lam*tau above FORK_EPISODES_MAX_LAMTAU)
+    raises OutsideSetting rather than being compared.
     """
     cfg = trace.config
-    if len(cfg.miners) != 2:
-        raise ValueError("per-block fork form needs exactly two miners")
-    if cfg.delay.kind != "fixed":
-        raise ValueError("per-block fork form needs one fixed delay, not per-pair delays")
-    if cfg.retarget_enabled:
-        raise ValueError("per-block fork form needs retargeting off")
-    if cfg.hashrate_steps:
-        raise ValueError("per-block fork form needs a constant hash rate")
-    if trace.rejections:
-        raise ValueError("per-block fork form does not cover timestamp rejections")
-    n = trace.canonical_height()
-    if n < 1:
-        raise ValueError("trace has no canonical blocks")
-    lam = cfg.nominal_hashrate * theta_from_difficulty(cfg.initial_difficulty)
+    _require(len(cfg.miners) == 2, "per-block fork form needs exactly two miners")
+    _require(cfg.delay.kind == "fixed", "per-block fork form needs one fixed delay, not per-pair")
+    _require(not cfg.retarget_enabled, "per-block fork form needs retargeting off")
+    _require(not cfg.hashrate_steps, "per-block fork form needs a constant hash rate")
+    _require(not trace.rejections, "per-block fork form does not cover timestamp rejections")
+    lam = _nominal_rate(cfg)
+    _require(lam * cfg.delay.tau <= FORK_EPISODES_MAX_LAMTAU,
+             f"per-block fork form needs lam*tau <= {FORK_EPISODES_MAX_LAMTAU}")
+    empirical, n = _episodes_per_block(trace)
     analytic = fork_episodes_per_block(cfg.miners[0].share, lam, cfg.delay.tau)
-    empirical = len(trace.fork_episodes) / n
     return _binomial_report("fork_episode_rate", analytic, empirical, n)
 
 
@@ -170,25 +187,20 @@ def multi_discovery_window_rate(trace: SimTrace) -> ComparisonReport:
     arrivals of the full discovery process.  Compare with fork_rate, which
     normalizes episodes per block.
     """
-    cfg = trace.config
-    tau = cfg.delay.max_delay()
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    lam = cfg.nominal_hashrate * theta_from_difficulty(cfg.initial_difficulty)
+    tau = _propagation_window(trace)
     times = np.array([b.found_at for b in trace.blocks[1:]])
     nwin = int(times.max() // tau) if times.size else 0
-    if nwin < 1:
-        raise ValueError("trace too short to tile even one window")
+    _require(nwin >= 1, "trace too short to tile even one window")
     counts = np.bincount((times[times < nwin * tau] // tau).astype(int), minlength=nwin)
     empirical = float(np.mean(counts >= 2))
-    return _binomial_report("multi_discovery_window_rate", fork_probability(lam, tau),
-                            empirical, nwin)
+    return _binomial_report("multi_discovery_window_rate",
+                            fork_probability(_nominal_rate(trace.config), tau), empirical, nwin)
 
 
 def tail_frequency(sample: Sequence[float], threshold: float) -> ComparisonReport:
     """Observed exceedance fraction of intervals beyond `threshold` against
     the exponential survival function at the estimated rate."""
-    deltas = _as_deltas(sample)
+    deltas = _as_deltas(sample, 2)
     lam_hat = estimate_lambda(deltas)
     analytic = interval_tail_probability(lam_hat, threshold)
     empirical = float(np.mean(deltas > threshold))
@@ -213,10 +225,8 @@ class ExponentialityResult:
 def exponentiality_diagnostic(sample: Sequence[float]) -> ExponentialityResult:
     """Kolmogorov-Smirnov goodness of fit of intervals to the exponential
     distribution at the MLE rate, plus the lag-1 autocorrelation."""
-    deltas = _as_deltas(sample)
+    deltas = _as_deltas(sample, 100)
     n = int(deltas.size)
-    if n < 100:
-        raise ValueError("diagnostic needs at least 100 intervals")
     lam_hat = estimate_lambda(deltas)
     cdf = -np.expm1(-lam_hat * np.sort(deltas))
     i = np.arange(1, n + 1)
@@ -422,8 +432,23 @@ def reorg_depth_histogram(trace: SimTrace) -> dict[int, int]:
     return dict(sorted(hist.items()))
 
 
-REPORT_CSV_FIELDS = ("quantity", "analytic", "empirical", "n", "stderr", "z")
+def trace_reports(trace: SimTrace) -> list[ComparisonReport]:
+    """Every closed form confronted with `trace`, in reports.csv order, less
+    the rows whose comparator raises OutsideSetting."""
+    def fork_row(comparator):  # every fork row needs a positive delay
+        _propagation_window(trace)
+        return comparator(trace)
+    reports = []
+    for compare, *args in ((fork_row, fork_rate), (fork_row, fork_episode_rate),
+                           (multi_discovery_window_rate, trace),
+                           (tail_frequency, trace.canonical_deltas(), TAIL_THRESHOLD)):
+        with suppress(OutsideSetting):
+            reports.append(compare(*args))
+    return reports
+
+
+REPORT_CSV_FIELDS = tuple(f.name for f in fields(ComparisonReport) if f.name != "warning")
 
 
 def write_reports_csv(reports: Sequence[ComparisonReport], path) -> None:
-    write_table(path, REPORT_CSV_FIELDS, [r.row() for r in reports])
+    write_table(path, REPORT_CSV_FIELDS, [[getattr(r, f) for f in REPORT_CSV_FIELDS] for r in reports])

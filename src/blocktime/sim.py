@@ -369,14 +369,6 @@ class SimTrace:
     def max_reorg_depth(self) -> int:
         return max((e.reorg_depth for e in self.tip_events), default=0)
 
-    def miner_block_counts(self) -> dict[int, int]:
-        """Canonical blocks per miner (genesis excluded)."""
-        counts: dict[int, int] = {}
-        for bid in self.canonical_path()[1:]:
-            m = self.blocks[bid].miner
-            counts[m] = counts.get(m, 0) + 1
-        return counts
-
     def summary(self) -> dict:
         return {
             "seed": self.config.seed,

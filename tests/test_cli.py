@@ -282,6 +282,26 @@ class TestSimulateCommand:
             "fork_rate", "fork_episode_rate", "multi_discovery_window_rate", "tail_frequency"]
         assert rows[1]["empirical"] == rows[0]["empirical"]
 
+    @pytest.mark.parametrize("overrides, quantities", [
+        ({"stop": {"blocks": 1}, "delay": {"fixed": 100000.0}}, ["fork_rate"]),
+        ({"stop": {"duration": 1.0}}, []),
+    ], ids=["one-block-long-delay", "no-block"])
+    def test_reports_on_short_trace(self, capsys, tmp_path, overrides, quantities):
+        # rows whose setting does not hold (no window tiled, fewer than 2
+        # intervals, lam*tau beyond the per-block form, no canonical block)
+        # are left out; the run still succeeds and writes reports.csv
+        d = json.loads((resources.files("blocktime") / "scenarios" / "forkrate.json").read_text())
+        d.update(overrides)
+        config = tmp_path / "short.json"
+        config.write_text(json.dumps(d))
+        code, _, err = run_cli(capsys, "simulate", "--config", str(config),
+                               "--outdir", str(tmp_path), "--reports")
+        assert (code, err) == (0, "")
+        with open(tmp_path / "reports.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["quantity", "analytic", "empirical", "n", "stderr", "z"]
+        assert [r[0] for r in rows[1:]] == quantities
+
     @pytest.mark.parametrize("key, value", [
         ("seed", 1.7),
         ("stop", {"blocks": 2.5}),

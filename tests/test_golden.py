@@ -1,10 +1,11 @@
 """Golden bytes: the sha256 of every file the CLI writes for the bundled
 fig2, baseline and retarget scenarios (CSV and JSON, plus reports.csv for
-baseline), for a short retarget-demo and for the entropy curve at its
-defaults; the same for three small inline networks that reach paths no
-bundled scenario does (one of them stops on a duration); the stdout of a
-simulate run with a clock advisory; and the exact floats race_monte_carlo
-returns for a set of (q, k, trials, seed, step_cap).
+each), for the forkrate scenario cut to 2,000 blocks with reports, for a
+short retarget-demo and for the entropy curve at its defaults; the same
+for three small inline networks that reach paths no bundled scenario does
+(one of them stops on a duration); the stdout of a simulate run with a
+clock advisory; and the exact floats race_monte_carlo returns for a set
+of (q, k, trials, seed, step_cap).
 
 Criterion 9 only compares two runs of the same code; these digests pin the
 output of an earlier commit, so a refactor that changes any output byte
@@ -19,6 +20,7 @@ import hashlib
 import itertools
 import json
 from collections import Counter
+from importlib import resources
 
 import pytest
 
@@ -28,7 +30,15 @@ from blocktime.cli import main
 from blocktime.metrics import race_monte_carlo
 from blocktime.sim import SimConfig, run
 
-# name: (argv without --outdir, {file name: sha256})
+# The forkrate scenario cut to 2,000 blocks: two miners, one fixed delay,
+# retargeting off, so its reports hold the fork_episode_rate row.
+FORKRATE_2000 = {
+    **json.loads((resources.files("blocktime") / "scenarios" / "forkrate.json").read_text()),
+    "stop": {"blocks": 2000},
+}
+
+# name: (argv without --outdir, {file name: sha256}); a dict in argv is a
+# config, written to a file whose path takes its place
 GOLDEN = {
     "fig2-csv": (
         ["simulate", "--config", "fig2"],
@@ -36,6 +46,17 @@ GOLDEN = {
             "blocks.csv": "e87625650aeec30e19e61365b4282607b8d419b90fbf9634f9fb0734d29aeee8",
             "difficulty.csv": "a1b5238176f568ed8d9938937365fae4a8bdf9fad4b0600e8b24a2f022e9874e",
             "forks.csv": "145faf69100a1162491fb3f7fdca720dcb5a3050beb9302e7742a79ee05fa321",
+            "tip_changes.csv": "68f65efdf00a75a21569e65e0313fae5edf3dcb2695b6ea5f63da2c749f8288b",
+        },
+    ),
+    # per-pair delays: the fork_rate row carries its heterogeneous-delay warning
+    "fig2-reports": (
+        ["simulate", "--config", "fig2", "--reports"],
+        {
+            "blocks.csv": "e87625650aeec30e19e61365b4282607b8d419b90fbf9634f9fb0734d29aeee8",
+            "difficulty.csv": "a1b5238176f568ed8d9938937365fae4a8bdf9fad4b0600e8b24a2f022e9874e",
+            "forks.csv": "145faf69100a1162491fb3f7fdca720dcb5a3050beb9302e7742a79ee05fa321",
+            "reports.csv": "f66bc5412f1321b2fc8906f08df64281ef7c420b7a7388bce3d17cac757202c8",
             "tip_changes.csv": "68f65efdf00a75a21569e65e0313fae5edf3dcb2695b6ea5f63da2c749f8288b",
         },
     ),
@@ -76,6 +97,17 @@ GOLDEN = {
             "tip_changes.csv": "a73907c544726a097095eeb211702d0e5dd11c350cc4598f6a064201442f6ee1",
         },
     ),
+    # zero delay: the tail row alone
+    "retarget-reports": (
+        ["simulate", "--config", "retarget", "--reports"],
+        {
+            "blocks.csv": "48a24e971cd86891f1ef8447dba1d4d1b88962fff2928d72b4dbf2eb5a3c88a4",
+            "difficulty.csv": "25ffdbcd61558a252bcae8fc3287af3407f5abbc97b76473404761106d7ac7e2",
+            "forks.csv": "852fb5ff4758ce0f68e738611ebd7756b9bc5786e5bfd0ebe029a6d7608661b2",
+            "reports.csv": "41f6763858d471a8462a5413210dd2fab8f90abde4c8f1a0b9653588b9b07b81",
+            "tip_changes.csv": "a73907c544726a097095eeb211702d0e5dd11c350cc4598f6a064201442f6ee1",
+        },
+    ),
     "retarget-json": (
         ["simulate", "--config", "retarget", "--format", "json"],
         {
@@ -83,6 +115,17 @@ GOLDEN = {
             "difficulty.json": "af2a8e0ba39a588d921d4e754d1296b661f0984e341ece03f2d1a6e43be1e2bd",
             "forks.json": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
             "tip_changes.json": "190e5ec15c01e60daa14e5335dd69a11f4c2e8053658173f0456c8dea19078a4",
+        },
+    ),
+    # two miners on one fixed delay: the fork_episode_rate row
+    "forkrate-2000-reports": (
+        ["simulate", "--config", FORKRATE_2000, "--reports"],
+        {
+            "blocks.csv": "f40ae15f88c5fcb8c918149ec3ecae72c25e97eee4ddef213c3ebd06d48f8bab",
+            "difficulty.csv": "a1b5238176f568ed8d9938937365fae4a8bdf9fad4b0600e8b24a2f022e9874e",
+            "forks.csv": "b0f36680b6f5090271a93a63bd634152b5de8dd7ea5ab6f1b63b1246ffb57a65",
+            "reports.csv": "464463e1da4fd68ce43174d0f2710e7858178924d09a69a65f10d82a489ff8fb",
+            "tip_changes.csv": "c09895fcf689ad662c8fe07996a5ac42bb6d8610c9dee86b1addb5b1fd11b180",
         },
     ),
     "retarget-demo-csv": (
@@ -121,9 +164,15 @@ GOLDEN = {
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_output_bytes(name, tmp_path, capsys):
     argv, digests = GOLDEN[name]
-    assert main(argv + ["--outdir", str(tmp_path)]) == 0
+    config = tmp_path / "config.json"
+    for i, arg in enumerate(argv):
+        if isinstance(arg, dict):
+            config.write_text(json.dumps(arg))
+            argv = argv[:i] + [str(config)] + argv[i + 1:]
+    out = tmp_path / "out"
+    assert main(argv + ["--outdir", str(out)]) == 0
     capsys.readouterr()
-    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
     assert written == digests
 
 

@@ -360,19 +360,19 @@ class TestForkEpisodeRate:
         assert rep.empirical == ref.empirical
         assert rep.n == ref.n
 
-    @pytest.mark.parametrize("overrides", [
-        {"miners": two_miners(0.5), "nodes": 2,
-         "delay": {"per_pair": [[0.0, 60.0], [60.0, 0.0]]}},
-        {"miners": [{"id": 0, "share": 0.4}, {"id": 1, "share": 0.3}, {"id": 2, "share": 0.3}],
-         "nodes": 3, "delay": {"fixed": 60.0}},
-        {"miners": two_miners(0.5), "nodes": 2, "delay": {"fixed": 60.0},
-         "retarget_enabled": True},
-        {"miners": two_miners(0.5), "nodes": 2, "delay": {"fixed": 60.0},
-         "hashrate_steps": [[100, 2.0]]},
+    @pytest.mark.parametrize("overrides, condition", [
+        ({"miners": two_miners(0.5), "nodes": 2,
+          "delay": {"per_pair": [[0.0, 60.0], [60.0, 0.0]]}}, "one fixed delay"),
+        ({"miners": [{"id": 0, "share": 0.4}, {"id": 1, "share": 0.3}, {"id": 2, "share": 0.3}],
+          "nodes": 3, "delay": {"fixed": 60.0}}, "exactly two miners"),
+        ({"miners": two_miners(0.5), "nodes": 2, "delay": {"fixed": 60.0},
+          "retarget_enabled": True}, "retargeting off"),
+        ({"miners": two_miners(0.5), "nodes": 2, "delay": {"fixed": 60.0},
+          "hashrate_steps": [[100, 2.0]]}, "constant hash rate"),
     ], ids=["per_pair", "three_miners", "retarget", "hashrate_steps"])
-    def test_outside_setting_rejected(self, overrides):
+    def test_outside_setting_rejected(self, overrides, condition):
         tr = sim(stop={"blocks": 300}, **overrides)
-        with pytest.raises(ValueError):
+        with pytest.raises(M.OutsideSetting, match=condition):
             M.fork_episode_rate(tr)
 
     def test_timestamp_rejections_rejected(self):
@@ -380,13 +380,13 @@ class TestForkEpisodeRate:
                   {"id": 1, "share": 0.5}]
         tr = sim(miners=miners, nodes=2, delay={"fixed": 60.0}, stop={"blocks": 300})
         assert tr.rejections
-        with pytest.raises(ValueError):
+        with pytest.raises(M.OutsideSetting, match="timestamp rejections"):
             M.fork_episode_rate(tr)
 
     def test_lam_tau_beyond_range_rejected(self):
         tr = sim(miners=two_miners(0.5), nodes=2, delay={"fixed": 120.0},
                  stop={"blocks": 300})
-        with pytest.raises(ValueError):
+        with pytest.raises(M.OutsideSetting, match=r"lam\*tau <= 0\.1"):
             M.fork_episode_rate(tr)
 
 
@@ -445,6 +445,23 @@ class TestReorgHistogram:
         assert counts == sorted(counts, reverse=True)
 
 
+class TestTraceReports:
+    def test_rows_whose_setting_holds(self):
+        tr = sim(miners=two_miners(0.5), nodes=2, delay={"fixed": 30.0},
+                 stop={"blocks": 300}, seed=3)
+        assert M.trace_reports(tr) == [
+            M.fork_rate(tr), M.fork_episode_rate(tr), M.multi_discovery_window_rate(tr),
+            M.tail_frequency(tr.canonical_deltas(), M.TAIL_THRESHOLD)]
+
+    def test_other_errors_propagate(self, monkeypatch):
+        def broken(trace):
+            raise ValueError("comparator fault")
+        monkeypatch.setattr(M, "multi_discovery_window_rate", broken)
+        tr = sim(miners=two_miners(0.5), nodes=2, delay={"fixed": 30.0}, stop={"blocks": 300})
+        with pytest.raises(ValueError, match="comparator fault"):
+            M.trace_reports(tr)
+
+
 class TestReportsOutput:
     def test_csv_fields(self, tmp_path):
         rng = np.random.default_rng(7)
@@ -455,6 +472,7 @@ class TestReportsOutput:
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert list(rows[0]) == ["quantity", "analytic", "empirical", "n", "stderr", "z"]
+        assert path.read_bytes().startswith(b"quantity,analytic,empirical,n,stderr,z\n")
         assert rows[0]["quantity"] == "tail_frequency"
         assert float(rows[0]["analytic"]) == reports[0].analytic
 

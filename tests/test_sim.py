@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import json
 import math
+from collections import Counter
 from importlib import resources
 
 import pytest
@@ -270,7 +271,8 @@ class TestPropagationAndForks:
         n = 20000
         tr = run(cfg(miners=[{"id": i, "share": s} for i, s in enumerate(shares)],
                      nodes=3, stop={"blocks": n}, seed=8))
-        counts = tr.miner_block_counts()
+        # canonical blocks per miner, genesis excluded
+        counts = Counter(tr.blocks[bid].miner for bid in tr.canonical_path()[1:])
         total = sum(counts.values())
         for i, s in enumerate(shares):
             sigma = math.sqrt(s * (1 - s) / total)
