@@ -19,13 +19,11 @@ import json
 import math
 import os
 import sys
-from contextlib import suppress
 from importlib import resources
 
 from . import analytic, metrics
-from .analytic import DIFFICULTY_ONE_SCALE
-from .chain import TARGET_SPACING, finite_number, write_table
-from .sim import ConfigError, SimConfig, run
+from .chain import TARGET_SPACING, ConsensusRules, finite_number, write_table
+from .sim import ConfigError, SimConfig, StopRule, run
 
 OUTDIR_ENV = "BLOCKTIME_OUTDIR"
 
@@ -126,8 +124,6 @@ def _emit_reports(trace, outdir) -> str:
     reports = metrics.trace_reports(trace)
     for rep in reports:
         print(f"  {rep}")
-    with suppress(metrics.OutsideSetting):  # printed only, not a reports.csv row
-        print(f"  {metrics.exponentiality_diagnostic(trace.canonical_deltas())}")
     path = os.path.join(outdir, "reports.csv")
     metrics.write_reports_csv(reports, path)
     return path
@@ -147,8 +143,7 @@ def cmd_race(args) -> int:
     step_cap = metrics.default_step_cap(args.q, args.k) if args.step_cap is None else args.step_cap
     estimate = metrics.race_monte_carlo(args.q, args.k, args.trials, args.seed, step_cap)
     closed = analytic.catchup_probability(args.q, args.k)
-    stderr = math.sqrt(closed * (1.0 - closed) / args.trials)
-    z = (estimate - closed) / stderr if stderr > 0 else (0.0 if estimate == closed else math.inf)
+    z = metrics.binomial_report("race", closed, estimate, args.trials).z
     note = None
     if args.q >= 0.5:
         note = "q >= p: the attacker catches up almost surely; closed form is the limit 1"
@@ -172,8 +167,6 @@ def cmd_race(args) -> int:
 # ---- entropy ----------------------------------------------------------------
 
 def cmd_entropy(args) -> int:
-    if args.lam is None:
-        args.lam = 1.0 / 600.0
     for name in ("lam", "step", "horizon"):
         finite_number(getattr(args, name), _flag(name))
     curve = metrics.entropy_trajectory(args.lam, args.step, args.horizon)
@@ -191,18 +184,11 @@ def cmd_entropy(args) -> int:
 
 def cmd_retarget_demo(args) -> int:
     interval = args.interval
-    cfg = SimConfig.from_dict({
-        "miners": [{"id": 0, "share": 1.0}],
-        "nodes": 1,
-        "delay": {"fixed": 0.0},
-        "rules": {"retarget_interval": interval},
-        "initial_difficulty": 1.0,
-        "nominal_hashrate": DIFFICULTY_ONE_SCALE / TARGET_SPACING,
-        "stop": {"blocks": args.epochs * interval},
-        "seed": args.seed,
-        "retarget_enabled": True,
-        "hashrate_steps": [[interval, args.factor]],
-    })
+    cfg = dataclasses.replace(
+        SimConfig.from_json(str(resources.files("blocktime") / "scenarios" / "retarget.json")),
+        rules=ConsensusRules(retarget_interval=interval),
+        stop=StopRule(blocks=args.epochs * interval),
+        seed=args.seed, hashrate_steps=[[interval, args.factor]])
     trace = run(cfg)
     written = trace.write_csvs(args.outdir, args.format)
     print(f"retarget-demo: seed={cfg.seed} interval={interval} epochs={args.epochs} "
@@ -261,7 +247,7 @@ def build_parser() -> _Parser:
     pr.set_defaults(func=cmd_race)
 
     pe = sub.add_parser("entropy", help="emit the discovery-entropy curve")
-    pe.add_argument("--lambda", dest="lam", type=float, default=None,
+    pe.add_argument("--lambda", dest="lam", type=float, default=1.0 / TARGET_SPACING,
                     help="arrival rate (default 1/600)")
     pe.add_argument("--step", type=float, default=1.0)
     pe.add_argument("--horizon", type=float, default=3600.0)

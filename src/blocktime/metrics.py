@@ -2,10 +2,10 @@
 the closed forms in `analytic`.
 
 Every comparison lands in a ComparisonReport carrying the analytic value,
-the empirical value, the sample size, a binomial/normal standard error and
-the resulting z-score.  Comparisons whose expected event count is below 10
-are flagged as under-powered instead of being treated as pass/fail
-evidence.  All estimators are pure over immutable traces.
+the empirical value, the sample size, a standard error (for the KS row, a
+scale) and the resulting z-score.  Comparisons whose expected event count
+is below 10 are flagged as under-powered instead of being treated as
+pass/fail evidence.  All estimators are pure over immutable traces.
 
 `trace_reports` is the comparison table; it leaves out a row only when its
 comparator raises OutsideSetting (trace outside its setting, or too short).
@@ -71,8 +71,8 @@ class ComparisonReport:
         return s
 
 
-def _binomial_report(quantity: str, analytic: float, empirical: float, n: int,
-                     warning: Optional[str] = None) -> ComparisonReport:
+def binomial_report(quantity: str, analytic: float, empirical: float, n: int,
+                    warning: Optional[str] = None) -> ComparisonReport:
     stderr = math.sqrt(analytic * (1.0 - analytic) / n) if n > 0 else 0.0
     if stderr > 0:
         z = (empirical - analytic) / stderr
@@ -126,6 +126,11 @@ def _nominal_rate(cfg) -> float:
     return cfg.nominal_hashrate * theta_from_difficulty(cfg.initial_difficulty)
 
 
+def _require_constant_rate(cfg, form: str) -> None:
+    _require(not cfg.retarget_enabled, f"{form} needs retargeting off")
+    _require(not cfg.hashrate_steps, f"{form} needs a constant hash rate")
+
+
 def _propagation_window(trace: SimTrace) -> float:
     tau = trace.config.delay.max_delay()
     _require(tau > 0, "fork rows need a positive propagation delay")
@@ -150,7 +155,7 @@ def fork_rate(trace: SimTrace) -> ComparisonReport:
     if cfg.delay.kind == "per_pair":
         warning = ("heterogeneous delays: analytic value is the per-window form at the max "
                    "pairwise delay, not a bound")
-    return _binomial_report("fork_rate", analytic, empirical, n, warning)
+    return binomial_report("fork_rate", analytic, empirical, n, warning)
 
 
 def fork_episode_rate(trace: SimTrace) -> ComparisonReport:
@@ -167,15 +172,14 @@ def fork_episode_rate(trace: SimTrace) -> ComparisonReport:
     cfg = trace.config
     _require(len(cfg.miners) == 2, "per-block fork form needs exactly two miners")
     _require(cfg.delay.kind == "fixed", "per-block fork form needs one fixed delay, not per-pair")
-    _require(not cfg.retarget_enabled, "per-block fork form needs retargeting off")
-    _require(not cfg.hashrate_steps, "per-block fork form needs a constant hash rate")
+    _require_constant_rate(cfg, "per-block fork form")
     _require(not trace.rejections, "per-block fork form does not cover timestamp rejections")
     lam = _nominal_rate(cfg)
     _require(lam * cfg.delay.tau <= FORK_EPISODES_MAX_LAMTAU,
              f"per-block fork form needs lam*tau <= {FORK_EPISODES_MAX_LAMTAU}")
     empirical, n = _episodes_per_block(trace)
     analytic = fork_episodes_per_block(cfg.miners[0].share, lam, cfg.delay.tau)
-    return _binomial_report("fork_episode_rate", analytic, empirical, n)
+    return binomial_report("fork_episode_rate", analytic, empirical, n)
 
 
 def multi_discovery_window_rate(trace: SimTrace) -> ComparisonReport:
@@ -193,8 +197,8 @@ def multi_discovery_window_rate(trace: SimTrace) -> ComparisonReport:
     _require(nwin >= 1, "trace too short to tile even one window")
     counts = np.bincount((times[times < nwin * tau] // tau).astype(int), minlength=nwin)
     empirical = float(np.mean(counts >= 2))
-    return _binomial_report("multi_discovery_window_rate",
-                            fork_probability(_nominal_rate(trace.config), tau), empirical, nwin)
+    return binomial_report("multi_discovery_window_rate",
+                           fork_probability(_nominal_rate(trace.config), tau), empirical, nwin)
 
 
 def tail_frequency(sample: Sequence[float], threshold: float) -> ComparisonReport:
@@ -204,7 +208,7 @@ def tail_frequency(sample: Sequence[float], threshold: float) -> ComparisonRepor
     lam_hat = estimate_lambda(deltas)
     analytic = interval_tail_probability(lam_hat, threshold)
     empirical = float(np.mean(deltas > threshold))
-    return _binomial_report("tail_frequency", analytic, empirical, int(deltas.size))
+    return binomial_report("tail_frequency", analytic, empirical, int(deltas.size))
 
 
 @dataclass
@@ -215,11 +219,6 @@ class ExponentialityResult:
     passed: bool
     lag1_autocorr: float
     lag1_bound: float      # 3 / sqrt(n) null band
-
-    def __str__(self) -> str:
-        verdict = "pass" if self.passed else "FAIL"
-        return (f"exponentiality: KS={self.statistic:.5f} (crit {self.critical:.5f}) "
-                f"{verdict}; lag1={self.lag1_autocorr:+.5f} (null band {self.lag1_bound:.5f})")
 
 
 def exponentiality_diagnostic(sample: Sequence[float]) -> ExponentialityResult:
@@ -243,6 +242,24 @@ def exponentiality_diagnostic(sample: Sequence[float]) -> ExponentialityResult:
         lag1_autocorr=lag1,
         lag1_bound=3.0 / math.sqrt(n),
     )
+
+
+def exponentiality_reports(trace: SimTrace) -> list[ComparisonReport]:
+    """The exponentiality diagnostic of the canonical intervals as two rows
+    against analytic 0: the KS distance and the lag-1 autocorrelation.  Each
+    stderr is a third of the critical value or null band (for the KS row a
+    scale, not a standard error), so |z| >= 3 exactly when either fails.
+    Intervals are iid exponential only at a constant rate on a chain that
+    cannot fork; any other trace, or one under 100 intervals, raises OutsideSetting."""
+    cfg = trace.config
+    _require_constant_rate(cfg, "exponentiality rows")
+    _require(len(cfg.miners) == 1 or (cfg.delay.max_delay() == 0 and not trace.rejections),
+             "exponentiality rows need one miner, or zero delay and no timestamp rejection")
+    res = exponentiality_diagnostic(trace.canonical_deltas())
+    return [ComparisonReport("exponentiality_ks", 0.0, res.statistic, res.n,
+                             res.critical / 3, 3 * (res.statistic / res.critical)),
+            ComparisonReport("exponentiality_lag1", 0.0, res.lag1_autocorr, res.n,
+                             res.lag1_bound / 3, 3 * (res.lag1_autocorr / res.lag1_bound))]
 
 
 def entropy_trajectory(lam: float, grid_step: float, horizon: float) -> list[tuple[float, float, float]]:
@@ -444,6 +461,8 @@ def trace_reports(trace: SimTrace) -> list[ComparisonReport]:
                            (tail_frequency, trace.canonical_deltas(), TAIL_THRESHOLD)):
         with suppress(OutsideSetting):
             reports.append(compare(*args))
+    with suppress(OutsideSetting):
+        reports += exponentiality_reports(trace)
     return reports
 
 

@@ -262,8 +262,20 @@ class TestSimulateCommand:
         assert "exponentiality" in out
         with open(tmp_path / "reports.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
-        assert {r["quantity"] for r in rows} == {"tail_frequency"}  # zero-delay run
+        assert {r["quantity"] for r in rows} == {  # one miner, zero delay, constant rate
+            "tail_frequency", "exponentiality_ks", "exponentiality_lag1"}
         assert list(rows[0]) == ["quantity", "analytic", "empirical", "n", "stderr", "z"]
+
+    def test_reports_retarget_no_exponentiality_verdict(self, capsys, tmp_path):
+        # retargeting lies outside the exponential setting: no
+        # exponentiality row is printed or written, so no FAIL either
+        code, out, _ = run_cli(capsys, "simulate", "--config", "retarget",
+                               "--outdir", str(tmp_path), "--reports")
+        assert code == 0
+        assert "FAIL" not in out
+        with open(tmp_path / "reports.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["quantity"] for r in rows] == ["tail_frequency"]
 
     def test_reports_per_block_fork_row(self, capsys, tmp_path):
         # two miners on their own nodes, one fixed delay: fork_episode_rate
@@ -276,6 +288,7 @@ class TestSimulateCommand:
                                "--outdir", str(tmp_path), "--reports")
         assert code == 0
         assert "fork_episode_rate" in out
+        assert "FAIL" not in out  # a forking chain gets no exponentiality rows
         with open(tmp_path / "reports.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert [r["quantity"] for r in rows] == [

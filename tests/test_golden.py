@@ -75,7 +75,7 @@ GOLDEN = {
             "blocks.csv": "db3010723e4dc07b0672d3ac16ebfae73af7f812747473fc5b24b7e994195d64",
             "difficulty.csv": "a1b5238176f568ed8d9938937365fae4a8bdf9fad4b0600e8b24a2f022e9874e",
             "forks.csv": "852fb5ff4758ce0f68e738611ebd7756b9bc5786e5bfd0ebe029a6d7608661b2",
-            "reports.csv": "51ecd988bfddc79c1a2981a2e5c5d682071915e64a1a7060ba92972667180ed8",
+            "reports.csv": "c07681ba490252a68e0327f230a793a763475c025b30ab78d4d411ae3484a602",
             "tip_changes.csv": "84107ec7e3c1cd912e30c7b9a010135faf6a0ce174dc19717bc858ab0e85ae1f",
         },
     ),

@@ -2,9 +2,11 @@
 
 import csv
 import itertools
+import json
 import math
 import sys
 import threading
+from importlib import resources
 from unittest import mock
 
 import numpy as np
@@ -460,6 +462,71 @@ class TestTraceReports:
         tr = sim(miners=two_miners(0.5), nodes=2, delay={"fixed": 30.0}, stop={"blocks": 300})
         with pytest.raises(ValueError, match="comparator fault"):
             M.trace_reports(tr)
+
+
+def scenario(name, **overrides):
+    d = json.loads((resources.files("blocktime") / "scenarios" / f"{name}.json").read_text())
+    return run(SimConfig.from_dict({**d, **overrides}))
+
+
+class IntervalTrace:
+    """Stands in for a one-miner, constant-rate trace whose canonical
+    intervals are `deltas`."""
+
+    config = SimConfig.from_dict({"miners": [{"id": 0, "share": 1.0}], "delay": {"fixed": 0.0},
+                                  "initial_difficulty": 1.0, "nominal_hashrate": H600,
+                                  "stop": {"blocks": 1}, "seed": 0, "retarget_enabled": False})
+    rejections = ()
+
+    def __init__(self, deltas):
+        self.deltas = np.asarray(deltas, dtype=float)
+
+    def canonical_deltas(self):
+        return self.deltas
+
+
+class TestExponentialityReports:
+    def test_rows_on_baseline(self):
+        tr = scenario("baseline")
+        res = M.exponentiality_diagnostic(tr.canonical_deltas())
+        reports = M.trace_reports(tr)
+        assert [r.quantity for r in reports] == [
+            "tail_frequency", "exponentiality_ks", "exponentiality_lag1"]
+        ks, lag = reports[1:]
+        assert (ks.analytic, ks.empirical, ks.n) == (0.0, res.statistic, res.n)
+        assert (lag.analytic, lag.empirical, lag.n) == (0.0, res.lag1_autocorr, res.n)
+        assert ks.stderr == pytest.approx(res.critical / 3)
+        assert lag.stderr == pytest.approx(1 / math.sqrt(res.n))
+        assert lag.z == pytest.approx(res.lag1_autocorr * math.sqrt(res.n))
+        assert abs(ks.z) < 3 and abs(lag.z) < 3
+
+    def test_cannot_fork_without_delay(self):
+        tr = sim(miners=two_miners(0.5), nodes=2, stop={"blocks": 200})
+        assert [r.quantity for r in M.exponentiality_reports(tr)] == [
+            "exponentiality_ks", "exponentiality_lag1"]
+
+    @pytest.mark.parametrize("trace, condition", [
+        (lambda: scenario("retarget"), "retargeting off"),
+        (lambda: scenario("forkrate", stop={"blocks": 2000}), "one miner, or zero delay"),
+        (lambda: sim(hashrate_steps=[[100, 2.0]]), "constant hash rate"),
+        (lambda: sim(stop={"blocks": 99}), "at least 100 intervals"),
+    ], ids=["retarget", "forkrate-2000", "hashrate-steps", "short"])
+    def test_outside_setting_rejected(self, trace, condition):
+        with pytest.raises(M.OutsideSetting, match=condition):
+            M.exponentiality_reports(trace())
+
+    @pytest.mark.parametrize("sample", [
+        np.random.default_rng(3).exponential(600.0, size=10_000),
+        np.random.default_rng(3).uniform(1.0, 2.0, size=10_000),
+        [600.0] * 200,
+        np.sort(np.random.default_rng(4).exponential(600.0, size=1_000)),
+        [1.0, 1000.0] * 100,
+    ], ids=["exponential", "uniform", "constant", "sorted-exponential", "alternating"])
+    def test_z_gate_is_the_diagnostic_verdict(self, sample):
+        res = M.exponentiality_diagnostic(sample)
+        ks, lag = M.exponentiality_reports(IntervalTrace(sample))
+        assert (ks.z >= 3) == (not res.passed)
+        assert (abs(lag.z) >= 3) == (abs(res.lag1_autocorr) >= res.lag1_bound)
 
 
 class TestReportsOutput:
