@@ -23,7 +23,6 @@ from .chain import (
     ConsensusRules,
     DuplicateBlock,
     MissingParent,
-    TipChange,
     TipView,
     UnknownBlock,
     make_genesis,

@@ -8,7 +8,8 @@ and tip inside a store, and the only code that keeps a tip; the simulator
 shares one store across the network and each node is a TipView over it.
 The tip rule (`select_tip`) is most-cumulative-work with a first-seen tie
 break, so replaying the same acceptance sequence always reproduces the
-same tip at every step.
+same tip at every step.  A move always lands on the accepted block, so the
+rule reports only the move's reorg depth, or None when the tip stays.
 
 Also provided: the timestamp acceptance rules (median-past-time over
 MPT_WINDOW blocks and the MAX_FUTURE_OFFSET future bound), the periodic
@@ -23,7 +24,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, fields
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 GENESIS_ID = 0
 GENESIS_MINER = -1
@@ -154,16 +155,6 @@ class ConsensusRules:
         return cls(**config_object(d, "rules", [f.name for f in fields(cls)], "consensus rule"))
 
 
-class TipChange(NamedTuple):
-    """Outcome of one insertion: where the tip was, where it is now, and
-    how many trailing blocks of the old canonical path were abandoned.  A
-    tuple, so the simulator unpacks it without attribute lookups."""
-
-    old_tip: int
-    new_tip: int
-    reorg_depth: int
-
-
 class ChainStore:
     """All known blocks and their cumulative work.
 
@@ -219,21 +210,22 @@ class ChainStore:
         return ba.id
 
 
-def select_tip(store: ChainStore, tip: int, candidate: int) -> TipChange:
+def select_tip(store: ChainStore, tip: int, candidate: int) -> Optional[int]:
     """The tip rule: a view whose tip is `tip` has just accepted the stored
-    block `candidate`.
+    block `candidate`.  Returns None when the tip stays, else the reorg
+    depth of the move to `candidate`.
 
     The tip moves only when the candidate has strictly more cumulative work,
-    so at equal work the earlier-accepted block stays.  A move that leaves
-    the old tip's branch abandons old tip height - fork point height blocks.
+    so at equal work the earlier-accepted block stays.  A move always lands
+    on the candidate and abandons old tip height - fork point height blocks
+    of the old canonical path: 0 for a plain extension.
     """
     if store.work[candidate] <= store.work[tip]:
-        return TipChange(tip, tip, 0)
+        return None
     blocks = store.blocks
-    depth = 0
-    if blocks[candidate].parent != tip:
-        depth = blocks[tip].height - blocks[store.fork_point(tip, candidate)].height
-    return TipChange(tip, candidate, depth)
+    if blocks[candidate].parent == tip:
+        return 0
+    return blocks[tip].height - blocks[store.fork_point(tip, candidate)].height
 
 
 class TipView:
@@ -247,12 +239,14 @@ class TipView:
         self.known: set[int] = {store.genesis}
         self.tip: int = store.genesis
 
-    def accept(self, block_id: int) -> TipChange:
-        """Accept a stored block and move the tip as `select_tip` says."""
+    def accept(self, block_id: int) -> Optional[int]:
+        """Accept a stored block and move the tip to it when `select_tip`
+        says so; return what `select_tip` returned (None: the tip stays)."""
         self.known.add(block_id)
-        tc = select_tip(self.store, self.tip, block_id)
-        self.tip = tc.new_tip
-        return tc
+        depth = select_tip(self.store, self.tip, block_id)
+        if depth is not None:
+            self.tip = block_id
+        return depth
 
 
 def median_past_time(store: ChainStore, parent_id: int) -> int:

@@ -88,14 +88,17 @@ def cmd_analytic(args) -> int:
 
 # ---- simulate ------------------------------------------------------------
 
-def _resolve_config(path_or_name: str):
-    if os.path.exists(path_or_name):
-        return path_or_name
-    bundled = resources.files("blocktime") / "scenarios" / f"{path_or_name}.json"
-    if bundled.is_file():
-        return str(bundled)
-    raise ConfigError(f"config not found: {path_or_name} "
-                      f"(not a file and not a bundled scenario)")
+def _bundled_scenario(name: str) -> str:
+    path = resources.files("blocktime") / "scenarios" / f"{name}.json"
+    if not path.is_file():
+        raise ConfigError(f"config not found: {name} (not a file and not a bundled scenario)")
+    return str(path)
+
+
+def _resolve_config(path_or_name: str) -> str:
+    # only a file is a path: a directory of the same name (an earlier run's
+    # --outdir, say) never shadows the bundled scenario
+    return path_or_name if os.path.isfile(path_or_name) else _bundled_scenario(path_or_name)
 
 
 def cmd_simulate(args) -> int:
@@ -185,7 +188,7 @@ def cmd_entropy(args) -> int:
 def cmd_retarget_demo(args) -> int:
     interval = args.interval
     cfg = dataclasses.replace(
-        SimConfig.from_json(str(resources.files("blocktime") / "scenarios" / "retarget.json")),
+        SimConfig.from_json(_bundled_scenario("retarget")),
         rules=ConsensusRules(retarget_interval=interval),
         stop=StopRule(blocks=args.epochs * interval),
         seed=args.seed, hashrate_steps=[[interval, args.factor]])

@@ -143,20 +143,12 @@ class DelayModel:
             raise ConfigError("delay must be nonnegative")
 
     @classmethod
-    def fixed(cls, tau: float) -> "DelayModel":
-        return cls("fixed", tau=tau)
-
-    @classmethod
-    def per_pair(cls, matrix) -> "DelayModel":
-        return cls("per_pair", matrix=matrix)
-
-    @classmethod
     def from_dict(cls, d: dict) -> "DelayModel":
         if len(config_object(d, "delay", ("fixed", "per_pair"))) != 1:
             raise ConfigError(f"delay must be {{'fixed': tau}} or {{'per_pair': matrix}}, got {d}")
         if "fixed" in d:
-            return cls.fixed(d["fixed"])
-        return cls.per_pair(d["per_pair"])
+            return cls("fixed", tau=d["fixed"])
+        return cls("per_pair", matrix=d["per_pair"])
 
     def delay(self, src: int, dst: int) -> float:
         if self.kind == "fixed":
@@ -533,9 +525,9 @@ class _Engine:
 
         # own node accepts its own block without re-validation
         bid = block.id
-        old_tip, new_tip, depth = node.accept(bid)
-        if new_tip != old_tip:
-            self.tip_events.append(TipEvent(now, miner_idx, new_tip, depth))
+        depth = node.accept(bid)
+        if depth is not None:
+            self.tip_events.append(TipEvent(now, miner_idx, bid, depth))
             self.tip_moved(miner_idx, now)
 
         heap, seq, push = self.heap, self.seq, heapq.heappush
@@ -561,9 +553,9 @@ class _Engine:
                 # pool and never become part of this node's view
                 self.rejections.append(Rejection(now, node_idx, b.id, reason))
                 continue
-            old_tip, new_tip, depth = node.accept(b.id)
-            if new_tip != old_tip:
-                self.tip_events.append(TipEvent(now, node_idx, new_tip, depth))
+            depth = node.accept(b.id)
+            if depth is not None:
+                self.tip_events.append(TipEvent(now, node_idx, b.id, depth))
                 moved = True
             if pending:
                 parked = pending.pop(b.id, None)

@@ -135,17 +135,20 @@ def path_to(store, bid):
 class TestInsertAndTip:
     def test_extension(self):
         store, (a, b, c, c2, d) = fig2_store()
-        tc = arrive(store, TipView(store), a)
-        assert tc == (store.genesis, a.id, 0)
+        view = TipView(store)
+        old = view.tip
+        depth = arrive(store, view, a)
+        assert (old, view.tip, depth) == (store.genesis, a.id, 0)
 
     def test_first_seen_tie_break(self):
         store, (a, b, c, c2, d) = fig2_store()
         view = TipView(store)
         for blk in (a, b, c):
             arrive(store, view, blk)
-        tc = arrive(store, view, c2)  # equal work, seen later
-        assert tc.new_tip == tc.old_tip == c.id
-        assert view.tip == c.id
+        old = view.tip
+        depth = arrive(store, view, c2)  # equal work, seen later
+        assert depth is None
+        assert view.tip == old == c.id
 
     def test_depth_one_reorg(self):
         store, (a, b, c, c2, d) = fig2_store()
@@ -156,8 +159,9 @@ class TestInsertAndTip:
         assert view.tip == c2.id
         arrive(store, view, c)   # equal work, stays on C'
         assert view.tip == c2.id
-        tc = arrive(store, view, d)  # D extends C: more work, switch branches
-        assert tc == (c2.id, d.id, 1)
+        old = view.tip
+        depth = arrive(store, view, d)  # D extends C: more work, switch branches
+        assert (old, view.tip, depth) == (c2.id, d.id, 1)
 
     def test_duplicate(self):
         store, (a, *_ ) = fig2_store()
@@ -198,7 +202,11 @@ class TestInsertAndTip:
         def tips(seq):
             store = ChainStore(make_genesis(1.0))
             view = TipView(store)
-            return [arrive(store, view, b).new_tip for b in seq]
+            out = []
+            for b in seq:
+                arrive(store, view, b)
+                out.append(view.tip)
+            return out
         seq = [blocks[0], blocks[1], blocks[3], blocks[2], blocks[4]]
         assert tips(seq) == tips(seq)
 
@@ -209,9 +217,8 @@ class TestInsertAndTip:
         for blk in (a, b, c2, c):
             arrive(store, view, blk)
         before = path_to(store, view.tip)
-        tc = arrive(store, view, d)
+        k = arrive(store, view, d)
         after = path_to(store, view.tip)
-        k = tc.reorg_depth
         assert before[:-k] == after[:len(before) - k]
         assert after[:len(before) - k] + [c.id, d.id] == after
 
@@ -228,11 +235,12 @@ class TestTipView:
             store.insert(blk)
         view = TipView(store)
         for blk in (a, b, c2, c, d):
-            expected = select_tip(store, view.tip, blk.id)
+            old = view.tip
+            expected = select_tip(store, old, blk.id)
             known = view.known | {blk.id}
             assert view.accept(blk.id) == expected
             assert view.known == known
-            assert view.tip == expected.new_tip
+            assert view.tip == (old if expected is None else blk.id)
 
     def test_views_of_one_store_are_independent(self):
         # the store holds no tip; two views that heard the siblings in
@@ -284,8 +292,10 @@ def _ancestors(blocks, bid):
 def test_tip_rule_on_random_trees(tree):
     """Both shapes of a TipView -- over a store fed in arrival order and
     over a store that already holds every block, as a simulated node is --
-    keep the earliest-accepted block of most work as the tip, and a tip
-    change reports old tip height - fork point height."""
+    keep the earliest-accepted block of most work as the tip.  The tip
+    moves exactly when the accepted block has more work than the old tip,
+    always onto that block, and the move reports old tip height - fork
+    point height; a tip that stays reports None."""
     blocks, order = tree
     work = {0: 1.0}
     shared = ChainStore(blocks[0])
@@ -296,19 +306,22 @@ def test_tip_rule_on_random_trees(tree):
     view, node = TipView(store), TipView(shared)
     accepted = [0]
     for bid in order:
-        tc = arrive(store, view, blocks[bid])
-        assert node.accept(bid) == tc
+        old = view.tip
+        depth = arrive(store, view, blocks[bid])
+        assert node.accept(bid) == depth
         accepted.append(bid)
         assert view.known == node.known == set(accepted)
         best = max(work[i] for i in accepted)
-        assert view.tip == node.tip == tc.new_tip == next(i for i in accepted if work[i] == best)
-        if tc.new_tip != tc.old_tip:
-            common = set(_ancestors(blocks, tc.new_tip))
-            fork = next(i for i in _ancestors(blocks, tc.old_tip) if i in common)
-            assert store.fork_point(tc.old_tip, tc.new_tip) == fork
-            assert tc.reorg_depth == blocks[tc.old_tip].height - blocks[fork].height
+        assert view.tip == node.tip == next(i for i in accepted if work[i] == best)
+        assert (depth is None) == (work[bid] <= work[old])
+        if depth is not None:
+            assert view.tip == bid
+            common = set(_ancestors(blocks, bid))
+            fork = next(i for i in _ancestors(blocks, old) if i in common)
+            assert store.fork_point(old, bid) == fork
+            assert depth == blocks[old].height - blocks[fork].height
         else:
-            assert tc.reorg_depth == 0
+            assert view.tip == old
 
 
 @st.composite

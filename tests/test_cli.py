@@ -390,6 +390,21 @@ class TestSimulateCommand:
         assert code == 1
         assert "not found" in err
 
+    def test_directory_never_shadows_bundled_scenario(self, capsys, tmp_path, monkeypatch):
+        # an earlier run's --outdir named after the scenario is not a config
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "baseline").mkdir()
+        code, _, _ = run_cli(capsys, "simulate", "--config", "baseline", "--outdir", "baseline")
+        assert code == 0
+        assert (tmp_path / "baseline" / "blocks.csv").exists()
+
+    def test_directory_is_not_a_config(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "nosuch").mkdir()
+        code, _, err = run_cli(capsys, "simulate", "--config", "nosuch", "--outdir", "out")
+        assert code == 1
+        assert "config not found" in err
+
     def test_invalid_config_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"miners": []}))

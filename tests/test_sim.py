@@ -172,8 +172,8 @@ class TestConfigValidation:
             cfg(miners=[{"id": 0, "share": 1.0, "strategy": "fixed_skew"}])
 
     def test_delay_model_helpers(self):
-        assert DelayModel.fixed(3.0).max_delay() == 3.0
-        m = DelayModel.per_pair([[0.0, 2.0], [5.0, 0.0]])
+        assert DelayModel("fixed", tau=3.0).max_delay() == 3.0
+        m = DelayModel("per_pair", matrix=[[0.0, 2.0], [5.0, 0.0]])
         assert m.delay(1, 0) == 5.0
         assert m.max_delay() == 5.0
 
@@ -512,7 +512,8 @@ def test_trace_structure(config):
     """The trace is consistent with the block DAG it records: tip events,
     fork episodes, retargets and the final agreement all follow from
     `trace.blocks` and the consensus rules."""
-    trace = run(config)
+    engine = sim._Engine(config)
+    trace = engine.run()
     blocks = trace.blocks
     store = ChainStore(blocks[0])
     for b in blocks[1:]:
@@ -554,6 +555,21 @@ def test_trace_structure(config):
     assert trace.fork_episodes == episodes
     assert all(list(e.blocks) == sorted(set(e.blocks)) for e in episodes)
     assert all(a.window_start <= b.window_start for a, b in zip(episodes, episodes[1:]))
+
+    # each node is left with exactly the descendants of the blocks it
+    # rejected parked for good, and its known, rejected and parked ids
+    # partition every block id
+    for i, node in enumerate(engine.nodes):
+        rejected = {r.block for r in trace.rejections if r.node == i}
+        stranded = {b.id for parked in node.pending.values() for b in parked}
+        descendants, frontier = set(), list(rejected)
+        while frontier:
+            kids = children.get(frontier.pop(), [])
+            descendants.update(kids)
+            frontier += kids
+        assert stranded == descendants
+        assert node.known | rejected | stranded == set(range(len(blocks)))
+        assert len(node.known) + len(rejected) + len(stranded) == len(blocks)
 
     # one retarget per stored boundary block, in id order, and each child
     # mines at the difficulty its parent prescribes
