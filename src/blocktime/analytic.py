@@ -128,6 +128,8 @@ def fork_probability(lam: float, tau: float) -> float:
     if tau < 0:
         raise ValueError("tau must be nonnegative")
     x = lam * tau
+    if math.isinf(x):
+        return 1.0  # the limit; x * exp(-x) would be inf * 0
     return -math.expm1(-x) - x * math.exp(-x)
 
 

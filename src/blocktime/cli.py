@@ -23,7 +23,7 @@ from importlib import resources
 
 from . import analytic, metrics
 from .chain import TARGET_SPACING, ConsensusRules, finite_number, write_table
-from .sim import ConfigError, SimConfig, StopRule, run
+from .sim import CLOCK_ADVISORY, ConfigError, SimConfig, StopRule, run
 
 OUTDIR_ENV = "BLOCKTIME_OUTDIR"
 
@@ -114,7 +114,7 @@ def cmd_simulate(args) -> int:
         spec = ".12g" if isinstance(value, float) else ""
         print(f"  {label:<18}{value:{spec}}")
     for w in trace.warnings:
-        print(f"  advisory: node {w.node} offset {w.offset:+.0f}s: {w.message}")
+        print(f"  advisory: node {w.node} offset {w.offset:+.0f}s: {CLOCK_ADVISORY}")
     if args.reports:
         written.append(_emit_reports(trace, args.outdir))
     for path in written:

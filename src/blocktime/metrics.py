@@ -152,7 +152,7 @@ def fork_rate(trace: SimTrace) -> ComparisonReport:
     cfg = trace.config
     analytic = fork_probability(_nominal_rate(cfg), cfg.delay.max_delay())
     warning = None
-    if cfg.delay.kind == "per_pair":
+    if cfg.delay.per_pair is not None:
         warning = ("heterogeneous delays: analytic value is the per-window form at the max "
                    "pairwise delay, not a bound")
     return binomial_report("fork_rate", analytic, empirical, n, warning)
@@ -171,14 +171,15 @@ def fork_episode_rate(trace: SimTrace) -> ComparisonReport:
     """
     cfg = trace.config
     _require(len(cfg.miners) == 2, "per-block fork form needs exactly two miners")
-    _require(cfg.delay.kind == "fixed", "per-block fork form needs one fixed delay, not per-pair")
+    tau = cfg.delay.fixed
+    _require(tau is not None, "per-block fork form needs one fixed delay, not per-pair")
     _require_constant_rate(cfg, "per-block fork form")
     _require(not trace.rejections, "per-block fork form does not cover timestamp rejections")
     lam = _nominal_rate(cfg)
-    _require(lam * cfg.delay.tau <= FORK_EPISODES_MAX_LAMTAU,
+    _require(lam * tau <= FORK_EPISODES_MAX_LAMTAU,
              f"per-block fork form needs lam*tau <= {FORK_EPISODES_MAX_LAMTAU}")
     empirical, n = _episodes_per_block(trace)
-    analytic = fork_episodes_per_block(cfg.miners[0].share, lam, cfg.delay.tau)
+    analytic = fork_episodes_per_block(cfg.miners[0].share, lam, tau)
     return binomial_report("fork_episode_rate", analytic, empirical, n)
 
 

@@ -21,9 +21,13 @@ A run is a pure function of (config, seed): one RNG stream is consumed in
 event order and event ties are broken by a global sequence number, so two
 runs with the same inputs produce bit-identical traces.
 
-The event loop runs with the cyclic garbage collector paused (and its prior
-state restored): a run builds no reference cycles, so each collection the
-growing block, event and heap records would set off (seven full ones in a
+An event is a (time, seq, handler, a, b) heap entry, and the loop calls
+its handler with (time, a, b); seq is unique, so no comparison reaches the
+handler.  The event loop runs with the cyclic garbage collector paused
+(and its prior state restored).  A queued handler is bound to the engine,
+so a reference cycle exists while events are queued, but it is reachable
+the whole time and a finished run leaves none: each collection the growing
+block, event and heap records would set off (seven full ones in a
 200k-block run) frees nothing and only walks them.
 """
 
@@ -63,12 +67,10 @@ from .chain import (
 # Advisory threshold for local clocks that stray from network time (ten
 # minutes); such nodes only get a warning, never a penalty.
 CLOCK_WARN_OFFSET = 600.0
+CLOCK_ADVISORY = "local clock differs from network time by more than 10 minutes"
 
 HONEST = "honest"
 FIXED_SKEW = "fixed_skew"
-
-_EV_FOUND = 0
-_EV_DELIVER = 1
 
 
 @dataclass(frozen=True)
@@ -117,48 +119,44 @@ class MinerSpec:
 
 @dataclass(frozen=True)
 class DelayModel:
-    """Propagation delay between nodes: a single scalar `tau` for every
-    pair (kind "fixed"), or a full per-pair `matrix` (kind "per_pair";
-    seconds, row = sender, column = receiver)."""
+    """Propagation delay between nodes in seconds: one `fixed` delay for
+    every pair, or a `per_pair` matrix (row = sender, column = receiver);
+    exactly one is given.  A node never sends to itself, so the diagonal
+    is never read."""
 
-    kind: str
-    tau: float = 0.0
-    matrix: Optional[tuple[tuple[float, ...], ...]] = None
+    fixed: Optional[float] = None
+    per_pair: Optional[tuple[tuple[float, ...], ...]] = None
 
     def __post_init__(self):
-        if self.kind == "fixed" and self.matrix is None:
-            set_fields(self, tau=finite_number(self.tau, "delay"))
-            values = (self.tau,)
-        elif self.kind == "per_pair" and self.matrix is not None and self.tau == 0:
+        if (self.fixed is None) == (self.per_pair is None):
+            raise ConfigError(f"delay must be {{'fixed': tau}} or {{'per_pair': matrix}}, "
+                              f"got {self!r}")
+        if self.per_pair is None:
+            set_fields(self, fixed=finite_number(self.fixed, "delay"))
+            values = (self.fixed,)
+        else:
             m = tuple(tuple(finite_number(x, "delay") for x in config_list(row, "per_pair row"))
-                      for row in config_list(self.matrix, "per_pair"))
+                      for row in config_list(self.per_pair, "per_pair"))
             if not m or any(len(row) != len(m) for row in m):
                 raise ConfigError("per-pair delay matrix must be square and nonempty")
-            set_fields(self, tau=0.0, matrix=m)
+            set_fields(self, per_pair=m)
             values = (x for row in m for x in row)
-        else:
-            raise ConfigError(f"a delay is fixed with a tau, or per_pair with a matrix and "
-                              f"no tau, got {self!r}")
         if any(x < 0 for x in values):
             raise ConfigError("delay must be nonnegative")
 
     @classmethod
     def from_dict(cls, d: dict) -> "DelayModel":
-        if len(config_object(d, "delay", ("fixed", "per_pair"))) != 1:
-            raise ConfigError(f"delay must be {{'fixed': tau}} or {{'per_pair': matrix}}, got {d}")
-        if "fixed" in d:
-            return cls("fixed", tau=d["fixed"])
-        return cls("per_pair", matrix=d["per_pair"])
+        return cls(**config_object(d, "delay", [f.name for f in fields(cls)]))
 
     def delay(self, src: int, dst: int) -> float:
-        if self.kind == "fixed":
-            return self.tau
-        return self.matrix[src][dst]
+        return self.fixed if self.per_pair is None else self.per_pair[src][dst]
 
     def max_delay(self) -> float:
-        if self.kind == "fixed":
-            return self.tau
-        return max(x for row in self.matrix for x in row)
+        """The largest delay between two distinct nodes (0 on one node)."""
+        if self.per_pair is None:
+            return self.fixed
+        return max((x for i, row in enumerate(self.per_pair)
+                    for j, x in enumerate(row) if i != j), default=0.0)
 
 
 @dataclass(frozen=True)
@@ -235,7 +233,7 @@ class SimConfig:
             raise ConfigError("miner ids must be unique")
         if self.nodes < len(self.miners):
             raise ConfigError("need at least one node per miner")
-        if self.delay.kind == "per_pair" and len(self.delay.matrix) != self.nodes:
+        if self.delay.per_pair is not None and len(self.delay.per_pair) != self.nodes:
             raise ConfigError("per-pair delay matrix size must match node count")
         try:
             theta_from_difficulty(self.initial_difficulty)
@@ -299,9 +297,10 @@ class Rejection(NamedTuple):
 
 
 class ClockAdvisory(NamedTuple):
+    """A node whose clock is more than CLOCK_WARN_OFFSET from network time."""
+
     node: int
     offset: float
-    message: str
 
 
 class ForkEpisode(NamedTuple):
@@ -443,11 +442,8 @@ class _Engine:
         self.next_diff: dict[int, float] = {}
         self.tip_events: list[TipEvent] = []
         self.rejections: list[Rejection] = []
-        self.warnings = [
-            ClockAdvisory(i, n.clock_offset,
-                          "local clock differs from network time by more than 10 minutes")
-            for i, n in enumerate(self.nodes) if abs(n.clock_offset) > CLOCK_WARN_OFFSET
-        ]
+        self.warnings = [ClockAdvisory(i, n.clock_offset) for i, n in enumerate(self.nodes)
+                         if abs(n.clock_offset) > CLOCK_WARN_OFFSET]
 
     # ---- difficulty and rates -------------------------------------------
 
@@ -478,7 +474,7 @@ class _Engine:
         tip = self.blocks[self.nodes[miner_idx].tip]
         rate = self.miner_rate(miner_idx, tip)
         dt = self.rng.exponential(1.0 / rate)
-        heapq.heappush(self.heap, (now + dt, next(self.seq), _EV_FOUND, miner_idx, tip.id))
+        heapq.heappush(self.heap, (now + dt, next(self.seq), self.handle_found, miner_idx, tip.id))
 
     def tip_moved(self, node_idx: int, now: float) -> None:
         """Once per handler that moved a miner's node's tip: node 0 reaching
@@ -530,9 +526,9 @@ class _Engine:
             self.tip_events.append(TipEvent(now, miner_idx, bid, depth))
             self.tip_moved(miner_idx, now)
 
-        heap, seq, push = self.heap, self.seq, heapq.heappush
+        heap, seq, push, deliver = self.heap, self.seq, heapq.heappush, self.handle_deliver
         for dst, delay in self.fanout[miner_idx]:
-            push(heap, (now + delay, next(seq), _EV_DELIVER, dst, bid))
+            push(heap, (now + delay, next(seq), deliver, dst, bid))
 
     def handle_deliver(self, now: float, node_idx: int, block_id: int) -> None:
         node = self.nodes[node_idx]
@@ -570,17 +566,13 @@ class _Engine:
         for m in range(len(self.cfg.miners)):
             self.schedule_find(m, 0.0)
         heap, pop = self.heap, heapq.heappop
-        found, deliver = self.handle_found, self.handle_deliver
-        # no cycles to collect (see the module docstring)
+        # nothing to collect (see the module docstring)
         enabled = gc.isenabled()
         gc.disable()
         try:
             while heap:
-                now, _, kind, a, b = pop(heap)
-                if kind == _EV_FOUND:
-                    found(now, a, b)
-                else:
-                    deliver(now, a, b)
+                now, _, handle, a, b = pop(heap)
+                handle(now, a, b)
         finally:
             if enabled:
                 gc.enable()

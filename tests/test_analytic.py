@@ -204,6 +204,10 @@ class TestForkProbability:
             ratio = an.fork_probability(1 / 600, tau) / (x**2 / 2)
             assert abs(ratio - 1) < x  # error term is O(x)
 
+    def test_overflowing_window_is_certain(self):
+        # lam * tau overflows to inf, where x * exp(-x) would be nan
+        assert an.fork_probability(1e308, 1e308) == 1.0
+
     def test_small_window_keeps_digits(self):
         # six significant digits survive the cancellation at tau = 2
         exact = 1 - math.exp(-1 / 300) - (1 / 300) * math.exp(-1 / 300)

@@ -1,6 +1,7 @@
 """Tests for estimators, diagnostics, and the race Monte Carlo oracle."""
 
 import csv
+import dataclasses
 import itertools
 import json
 import math
@@ -454,6 +455,16 @@ class TestTraceReports:
         assert M.trace_reports(tr) == [
             M.fork_rate(tr), M.fork_episode_rate(tr), M.multi_discovery_window_rate(tr),
             M.tail_frequency(tr.canonical_deltas(), M.TAIL_THRESHOLD)]
+
+    def test_unread_diagonal_is_no_delay(self):
+        # a node never sends to itself, so a per-pair matrix that is zero
+        # off its diagonal gives the zero-delay trace and the same table
+        kw = dict(miners=two_miners(0.5), nodes=2, stop={"blocks": 3000}, seed=3)
+        diagonal = sim(delay={"per_pair": [[30.0, 0.0], [0.0, 30.0]]}, **kw)
+        zero = sim(**kw)
+        assert diagonal.config.delay.max_delay() == 0.0
+        assert dataclasses.replace(diagonal, config=zero.config) == zero
+        assert M.trace_reports(diagonal) == M.trace_reports(zero)
 
     def test_other_errors_propagate(self, monkeypatch):
         def broken(trace):

@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import json
 import math
+import re
 from collections import Counter
 from importlib import resources
 
@@ -138,8 +139,8 @@ class TestConfigValidation:
             "nominal_hashrate": lambda: dataclasses.replace(base, nominal_hashrate=bad),
             "clock_offset": lambda: MinerSpec(0, 1.0, clock_offset=bad),
             "skew": lambda: MinerSpec(0, 1.0, skew=bad),
-            "tau": lambda: DelayModel("fixed", tau=bad),
-            "matrix": lambda: DelayModel("per_pair", matrix=[[0.0, 1.0], [bad, 0.0]]),
+            "tau": lambda: DelayModel(fixed=bad),
+            "matrix": lambda: DelayModel(per_pair=[[0.0, 1.0], [bad, 0.0]]),
             "duration": lambda: StopRule(duration=bad),
             "step factor": lambda: dataclasses.replace(base, hashrate_steps=[(10, bad)]),
         }[field]
@@ -147,16 +148,17 @@ class TestConfigValidation:
             build()
 
     @pytest.mark.parametrize("build, error", [
-        (lambda c: DelayModel("fixed", tau=-500.0), ConfigError),
-        (lambda c: DelayModel("per_pair", matrix=[[0.0, -1.0], [1.0, 0.0]]), ConfigError),
-        (lambda c: DelayModel("per_pair", matrix=[[0.0, 1.0], [1.0]]), ConfigError),
-        (lambda c: DelayModel("gossip", tau=1.0), ConfigError),
+        (lambda c: DelayModel(fixed=-500.0), ConfigError),
+        (lambda c: DelayModel(per_pair=[[0.0, -1.0], [1.0, 0.0]]), ConfigError),
+        (lambda c: DelayModel(per_pair=[[0.0, 1.0], [1.0]]), ConfigError),
+        (lambda c: DelayModel(fixed=1.0, per_pair=[[0.0]]), ConfigError),
+        (lambda c: DelayModel(), ConfigError),
         (lambda c: dataclasses.replace(c, nodes=2.5), ConfigError),
         (lambda c: dataclasses.replace(c, seed="7"), ConfigError),
         (lambda c: setattr(c.stop, "blocks", 0), dataclasses.FrozenInstanceError),
         (lambda c: setattr(c.rules, "retarget_interval", 0), dataclasses.FrozenInstanceError),
         (lambda c: setattr(c.miners[0], "share", 0.3), dataclasses.FrozenInstanceError),
-    ], ids=["negative-tau", "negative-matrix", "ragged-matrix", "unknown-kind",
+    ], ids=["negative-tau", "negative-matrix", "ragged-matrix", "both-keys", "neither-key",
             "fractional-nodes", "string-seed", "stop-blocks", "retarget-interval", "share"])
     def test_no_invalid_config_exists(self, build, error):
         # built in code or changed after the fact, an invalid config cannot
@@ -171,9 +173,21 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             cfg(miners=[{"id": 0, "share": 1.0, "strategy": "fixed_skew"}])
 
+    @pytest.mark.parametrize("delay, message", [
+        ({"fixed": 1.0, "gossip": 2.0}, "unknown delay keys: ['gossip']"),
+        ({}, "delay must be {'fixed': tau} or {'per_pair': matrix}"),
+        ({"fixed": 1.0, "per_pair": [[0.0]]}, "delay must be {'fixed': tau} or {'per_pair': matrix}"),
+        ({"fixed": -1.0}, "delay must be nonnegative"),
+        ({"per_pair": []}, "per-pair delay matrix must be square and nonempty"),
+    ], ids=["unknown-key", "neither-key", "both-keys", "negative", "empty-matrix"])
+    def test_delay_messages(self, delay, message):
+        # the JSON path's messages, which the other delay tests do not pin
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+            DelayModel.from_dict(delay)
+
     def test_delay_model_helpers(self):
-        assert DelayModel("fixed", tau=3.0).max_delay() == 3.0
-        m = DelayModel("per_pair", matrix=[[0.0, 2.0], [5.0, 0.0]])
+        assert DelayModel(fixed=3.0).max_delay() == 3.0
+        m = DelayModel(per_pair=[[0.0, 2.0], [5.0, 0.0]])
         assert m.delay(1, 0) == 5.0
         assert m.max_delay() == 5.0
 
