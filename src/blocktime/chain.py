@@ -1,11 +1,12 @@
 """Block DAG storage and consensus bookkeeping.
 
-A ChainStore holds a tree of hash-pointer records rooted at genesis, with
-cumulative work per block.  Sealing makes every block immutable, so its
-height, cumulative work and median-past-time are fixed once it is stored,
-and the store holds no tip.  A TipView is one participant's accepted ids
-and tip inside a store, and the only code that keeps a tip; the simulator
-shares one store across the network and each node is a TipView over it.
+A ChainStore holds a tree of hash-pointer records rooted at genesis.
+Sealing makes every block immutable: its height and cumulative work are
+its own fields, checked against its parent when it is stored, its
+median-past-time is fixed once it is stored, and the store holds no tip.
+A TipView is one participant's accepted ids and tip inside a store, and
+the only code that keeps a tip; the simulator shares one store across the
+network and each node is a TipView over it.
 The tip rule (`select_tip`) is most-cumulative-work with a first-seen tie
 break, so replaying the same acceptance sequence always reproduces the
 same tip at every step.  A move always lands on the accepted block, so the
@@ -14,17 +15,18 @@ rule reports only the move's reorg depth, or None when the tip stays.
 Also provided: the timestamp acceptance rules (median-past-time over
 MPT_WINDOW blocks and the MAX_FUTURE_OFFSET future bound), the periodic
 difficulty retarget rule (TARGET_SPACING, RETARGET_CLAMP), the chain-dump
-rows, and the one CSV/JSON table writer every export uses.  Those four
-rules are protocol constants; only the retarget interval is set per run,
-through ConsensusRules.
+columns (a Block's own fields), and the one CSV/JSON table writer every
+export uses.  Those four rules are protocol constants; only the retarget
+interval is set per run, through ConsensusRules.
 """
 
 import csv
 import json
 import math
 import numbers
+import operator
 from dataclasses import dataclass, fields
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 GENESIS_ID = 0
 GENESIS_MINER = -1
@@ -68,7 +70,8 @@ class Block:
     `timestamp` is the consensus timestamp the miner wrote into the block
     (integer unix-style seconds, subject to the acceptance rules), while
     `found_at` is the ground-truth simulation instant of discovery and is
-    not consensus data.
+    not consensus data.  `cumulative_work` is the parent's plus this
+    block's difficulty.  The fields, in order, are the chain-dump columns.
     """
 
     id: int
@@ -77,11 +80,12 @@ class Block:
     miner: int
     timestamp: int
     difficulty: float
+    cumulative_work: float
     found_at: float
 
 
 def make_genesis(difficulty: float) -> Block:
-    return Block(GENESIS_ID, None, 0, GENESIS_MINER, 0, difficulty, 0.0)
+    return Block(GENESIS_ID, None, 0, GENESIS_MINER, 0, difficulty, difficulty, 0.0)
 
 
 def _real(value, name: str):
@@ -156,7 +160,7 @@ class ConsensusRules:
 
 
 class ChainStore:
-    """All known blocks and their cumulative work.
+    """All known blocks, each extending its parent's height and work.
 
     Insertion is parents-first: an orphan raises MissingParent and it is
     the caller's job to buffer it until the parent shows up (the simulator
@@ -167,8 +171,9 @@ class ChainStore:
     def __init__(self, genesis: Block):
         if genesis.height != 0 or genesis.parent is not None:
             raise ChainError("genesis must have height 0 and no parent")
+        if genesis.cumulative_work != genesis.difficulty:
+            raise ChainError("genesis cumulative work must equal its difficulty")
         self.blocks: dict[int, Block] = {genesis.id: genesis}
-        self.work: dict[int, float] = {genesis.id: genesis.difficulty}
         self.genesis: int = genesis.id
         # median_past_time results by parent id: a block's ancestors never
         # change, so neither does its median
@@ -181,7 +186,7 @@ class ChainStore:
             raise UnknownBlock(f"unknown block id {block_id}") from None
 
     def insert(self, block: Block) -> None:
-        """Store a block and record its cumulative work."""
+        """Store a block that extends its parent's height and work."""
         if block.id in self.blocks:
             raise DuplicateBlock(f"block id {block.id} already present")
         if block.parent not in self.blocks:
@@ -193,9 +198,9 @@ class ChainStore:
             )
         if block.difficulty <= 0:
             raise ChainError("block difficulty must be positive")
-
+        if block.cumulative_work != parent.cumulative_work + block.difficulty:
+            raise ChainError(f"block {block.id} work does not extend its parent's")
         self.blocks[block.id] = block
-        self.work[block.id] = self.work[block.parent] + block.difficulty
 
     def fork_point(self, a: int, b: int) -> int:
         """Deepest common ancestor of two blocks."""
@@ -220,9 +225,9 @@ def select_tip(store: ChainStore, tip: int, candidate: int) -> Optional[int]:
     on the candidate and abandons old tip height - fork point height blocks
     of the old canonical path: 0 for a plain extension.
     """
-    if store.work[candidate] <= store.work[tip]:
-        return None
     blocks = store.blocks
+    if blocks[candidate].cumulative_work <= blocks[tip].cumulative_work:
+        return None
     if blocks[candidate].parent == tip:
         return 0
     return blocks[tip].height - blocks[store.fork_point(tip, candidate)].height
@@ -318,19 +323,8 @@ def retarget(difficulty: float, first_ts: int, last_ts: int, interval: int) -> f
     return difficulty * ratio
 
 
-BLOCK_CSV_FIELDS = (
-    "id", "parent", "height", "miner", "timestamp",
-    "difficulty", "cumulative_work", "found_at",
-)
-
-
-def blocks_to_rows(blocks: Iterable[Block], work: Mapping[int, float]) -> list[list]:
-    """Typed rows of the chain-dump format, one per block in the order
-    given, with the cumulative work `work` records for it (a ChainStore's
-    `work`).  Genesis has parent None.
-    """
-    return [[b.id, b.parent, b.height, b.miner, b.timestamp, b.difficulty, work[b.id], b.found_at]
-            for b in blocks]
+BLOCK_CSV_FIELDS = tuple(f.name for f in fields(Block))
+block_row = operator.attrgetter(*BLOCK_CSV_FIELDS)
 
 
 _encode_str = json.encoder.encode_basestring_ascii

@@ -31,7 +31,7 @@ from .analytic import (
     interval_tail_probability,
     theta_from_difficulty,
 )
-from .chain import whole_number, write_table
+from .chain import finite_number, whole_number, write_table
 from .sim import SimTrace
 
 UNDERPOWERED_EVENTS = 10
@@ -348,6 +348,7 @@ def race_monte_carlo(q: float, k: int, trials: int, seed: int,
     deficit, and a walk whose deficit exceeds its remaining step budget at
     a slab boundary is failed early, which cannot change any outcome.
     """
+    q = finite_number(q, "q")
     if not 0 <= q < 1:
         raise ValueError("q must lie in [0, 1)")
     k = whole_number(k, "k")

@@ -2,10 +2,11 @@
 
 Miners generate blocks as exponential processes whose rates follow their
 hash-rate share and the difficulty prescribed by their current tip.  Every
-found block goes once into the one ChainStore the whole network shares,
-which fixes its height, cumulative work and median-past-time; a retarget
-boundary block's successor difficulty is recorded right then.  The block
-then propagates to every other node with configurable delay.  A node is a
+found block carries its height and cumulative work, sealed from its
+parent's, and goes once into the one ChainStore the whole network shares,
+which checks both and fixes its median-past-time; a retarget boundary
+block's successor difficulty is recorded right then.  The block then
+propagates to every other node with configurable delay.  A node is a
 TipView of that store plus a clock offset and its pending orphans: it
 validates timestamps against its own (possibly skewed) clock and accepts
 the block, which moves its tip by the tip rule.  Miner i mines on node i,
@@ -51,7 +52,7 @@ from .chain import (
     ConfigError,
     ConsensusRules,
     TipView,
-    blocks_to_rows,
+    block_row,
     config_list,
     config_object,
     finite_number,
@@ -317,8 +318,8 @@ class ForkEpisode(NamedTuple):
 class SimTrace:
     """Everything a run produced, immutable once returned.
 
-    blocks is indexed by block id and includes stale blocks; work is the
-    store's own cumulative work per block id, which the export reads;
+    blocks is indexed by block id and includes stale blocks; each block's
+    fields are its row of the blocks table, cumulative work included;
     tip_events records every per-node tip change (reorg_depth 0 = plain
     extension); difficulty_history records each retarget as (boundary
     height, new difficulty for the following window).  The canonical chain
@@ -327,7 +328,6 @@ class SimTrace:
 
     config: SimConfig
     blocks: list[Block]
-    work: dict[int, float]
     tip_events: list[TipEvent]
     fork_episodes: list[ForkEpisode]
     difficulty_history: list[tuple[int, float]]
@@ -383,7 +383,7 @@ class SimTrace:
         """
         os.makedirs(outdir, exist_ok=True)
         tables = {
-            "blocks": (BLOCK_CSV_FIELDS, blocks_to_rows(self.blocks, self.work)),
+            "blocks": (BLOCK_CSV_FIELDS, map(block_row, self.blocks)),
             "tip_changes": (TipEvent._fields, self.tip_events),
             "forks": (
                 ForkEpisode._fields,
@@ -499,13 +499,15 @@ class _Engine:
         parent = self.blocks[parent_id]
         mpt = median_past_time(self.store, parent_id)
         local = now + spec.clock_offset + spec.skew
+        difficulty = self.child_difficulty(parent)
         block = Block(
             id=len(self.blocks),
             parent=parent_id,
             height=parent.height + 1,
             miner=spec.id,
             timestamp=max(math.floor(local), mpt + 1),
-            difficulty=self.child_difficulty(parent),
+            difficulty=difficulty,
+            cumulative_work=parent.cumulative_work + difficulty,
             found_at=now,
         )
         self.store.insert(block)
@@ -580,7 +582,6 @@ class _Engine:
         return SimTrace(
             config=self.cfg,
             blocks=list(self.blocks.values()),
-            work=self.store.work,
             tip_events=self.tip_events,
             fork_episodes=episodes,
             difficulty_history=[(0, self.cfg.initial_difficulty)] + [

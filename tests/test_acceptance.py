@@ -158,14 +158,16 @@ def test_criterion_8_consensus_rules(fig2_trace):
     store = ChainStore(make_genesis(1.0))
     parent = store.get(0)
     for i, ts in enumerate(range(1, 12)):
-        b = Block(i + 1, parent.id, parent.height + 1, 0, ts, 1.0, float(i))
+        b = Block(i + 1, parent.id, parent.height + 1, 0, ts, 1.0, parent.cumulative_work + 1.0,
+                  float(i))
         store.insert(b)
         parent = b
     mpt = median_past_time(store, parent.id)
 
     def probe(ts, clock=1e6):
         return validate_timestamp(
-            Block(99, parent.id, parent.height + 1, 0, ts, 1.0, 0.0), store, clock)
+            Block(99, parent.id, parent.height + 1, 0, ts, 1.0, parent.cumulative_work + 1.0, 0.0),
+            store, clock)
 
     checks = {
         "timestamp == median rejected": probe(mpt) == "mpt",

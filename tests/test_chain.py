@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import statistics
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from blocktime.chain import (
     TARGET_SPACING,
     TipView,
     UnknownBlock,
-    blocks_to_rows,
+    block_row,
     make_genesis,
     median_past_time,
     retarget,
@@ -34,13 +35,19 @@ from blocktime.chain import (
 )
 
 
+def child(parent, block_id, timestamp, difficulty=1.0, miner=0, found_at=0.0):
+    """A block on `parent`, with the height and cumulative work that follow."""
+    return Block(block_id, parent.id, parent.height + 1, miner, timestamp, difficulty,
+                 parent.cumulative_work + difficulty, found_at)
+
+
 def chain_of(timestamps, difficulty=1.0, start_id=1):
     """Linear chain on a fresh store: one block per timestamp."""
     genesis = make_genesis(difficulty)
     store = ChainStore(genesis)
     parent = genesis
     for i, ts in enumerate(timestamps):
-        b = Block(start_id + i, parent.id, parent.height + 1, 0, ts, difficulty, float(i + 1))
+        b = child(parent, start_id + i, ts, difficulty, found_at=float(i + 1))
         store.insert(b)
         parent = b
     return store, parent
@@ -78,7 +85,7 @@ class TestMedianPastTime:
 
 class TestValidateTimestamp:
     def make(self, store, parent, ts):
-        return Block(500, parent.id, parent.height + 1, 0, ts, 1.0, 0.0)
+        return child(parent, 500, ts)
 
     def test_equal_to_median_rejected(self):
         store, tip = chain_of(list(range(1, 12)))
@@ -103,7 +110,7 @@ class TestValidateTimestamp:
 
     def test_orphan_is_not_a_rule_rejection(self):
         store, tip = chain_of([100])
-        orphan = Block(77, 60, 5, 0, 400, 1.0, 0.0)
+        orphan = Block(77, 60, 5, 0, 400, 1.0, 6.0, 0.0)
         with pytest.raises(MissingParent):
             validate_timestamp(orphan, store, 1e6)
 
@@ -112,11 +119,11 @@ def fig2_store():
     """The two-continuation topology: G-A-B, then siblings C/C', then D on C."""
     g = make_genesis(1.0)
     store = ChainStore(g)
-    a = Block(1, 0, 1, 0, 10, 1.0, 1.0)
-    b = Block(2, 1, 2, 0, 20, 1.0, 2.0)
-    c = Block(3, 2, 3, 0, 30, 1.0, 3.0)
-    c2 = Block(4, 2, 3, 1, 31, 1.0, 3.5)
-    d = Block(5, 3, 4, 0, 40, 1.0, 9.0)
+    a = child(g, 1, 10, found_at=1.0)
+    b = child(a, 2, 20, found_at=2.0)
+    c = child(b, 3, 30, found_at=3.0)
+    c2 = child(b, 4, 31, miner=1, found_at=3.5)
+    d = child(c, 5, 40, found_at=9.0)
     return store, (a, b, c, c2, d)
 
 
@@ -178,23 +185,33 @@ class TestInsertAndTip:
         store, (a, *_ ) = fig2_store()
         store.insert(a)
         with pytest.raises(ChainError):
-            store.insert(Block(9, a.id, 7, 0, 50, 1.0, 0.0))
+            store.insert(replace(child(a, 9, 50), height=7))
+
+    def test_bad_cumulative_work(self):
+        store, (a, *_ ) = fig2_store()
+        store.insert(a)
+        for work in (a.cumulative_work, a.cumulative_work + 2.0):
+            with pytest.raises(ChainError):
+                store.insert(replace(child(a, 9, 50), cumulative_work=work))
+            assert 9 not in store.blocks
+        with pytest.raises(ChainError):
+            ChainStore(replace(make_genesis(1.0), cumulative_work=2.0))
 
     def test_work_never_regresses(self):
         store, blocks = fig2_store()
         view = TipView(store)
-        last_work = store.work[view.tip]
+        last_work = store.get(view.tip).cumulative_work
         for blk in blocks:
             arrive(store, view, blk)
-            assert store.work[view.tip] >= last_work
-            last_work = store.work[view.tip]
+            assert store.get(view.tip).cumulative_work >= last_work
+            last_work = store.get(view.tip).cumulative_work
 
     def test_work_strictly_increasing_along_path(self):
         store, blocks = fig2_store()
         view = TipView(store)
         for blk in blocks:
             arrive(store, view, blk)
-        works = [store.work[i] for i in path_to(store, view.tip)]
+        works = [store.get(i).cumulative_work for i in path_to(store, view.tip)]
         assert all(x < y for x, y in zip(works, works[1:]))
 
     def test_replay_gives_identical_tips(self):
@@ -270,7 +287,7 @@ def trees_in_insertion_order(draw):
     for i in range(1, n + 1):
         parent = blocks[draw(st.integers(0, i - 1))]
         difficulty = draw(st.sampled_from([1.0, 2.0]))
-        blocks[i] = Block(i, parent.id, parent.height + 1, 0, i, difficulty, float(i))
+        blocks[i] = child(parent, i, i, difficulty, found_at=float(i))
     order, ready = [], [i for i in range(1, n + 1) if blocks[i].parent == 0]
     while ready:
         bid = ready.pop(draw(st.integers(0, len(ready) - 1)))
@@ -295,13 +312,15 @@ def test_tip_rule_on_random_trees(tree):
     keep the earliest-accepted block of most work as the tip.  The tip
     moves exactly when the accepted block has more work than the old tip,
     always onto that block, and the move reports old tip height - fork
-    point height; a tip that stays reports None."""
+    point height; a tip that stays reports None.  Work is summed here from
+    the parent links, independently of each block's own field."""
     blocks, order = tree
     work = {0: 1.0}
     shared = ChainStore(blocks[0])
     for bid in range(1, len(blocks)):
         work[bid] = work[blocks[bid].parent] + blocks[bid].difficulty
         shared.insert(blocks[bid])
+    assert work == {bid: b.cumulative_work for bid, b in blocks.items()}
     store = ChainStore(blocks[0])
     view, node = TipView(store), TipView(shared)
     accepted = [0]
@@ -334,7 +353,7 @@ def stamped_trees(draw):
     for i in range(1, n + 1):
         parent = store.get(i - draw(st.integers(1, min(i, 4))))
         ts = draw(st.integers(-50, 50))
-        store.insert(Block(i, parent.id, parent.height + 1, 0, ts, 1.0, float(i)))
+        store.insert(child(parent, i, ts, found_at=float(i)))
     return store
 
 
@@ -444,14 +463,14 @@ class TestChainDump:
         for blk in blocks:
             store.insert(blk)
         path = tmp_path / "blocks.csv"
-        write_table(path, BLOCK_CSV_FIELDS, blocks_to_rows(allb, store.work))
+        write_table(path, BLOCK_CSV_FIELDS, map(block_row, allb))
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 6
         assert rows[0]["parent"] == ""
         by_id = {int(r["id"]): r for r in rows}
         assert by_id[5]["height"] == "4"
-        assert float(by_id[5]["cumulative_work"]) == store.work[5]
+        assert float(by_id[5]["cumulative_work"]) == store.get(5).cumulative_work == 5.0
         with open(path, "rb") as fh:
             assert b"\r" not in fh.read()  # LF endings only
 

@@ -193,7 +193,8 @@ class TestRaceMonteCarlo:
         assert M.race_monte_carlo(0.3, 3, 1000.0, seed=1.0) == M.race_monte_carlo(0.3, 3, 1000, seed=1)
         for args, name in [((0.3, True, 1000, 1), "k"), ((0.3, 3, True, 1), "trials"),
                            ((0.3, 3, 1000, True), "seed"), ((0.6, 3, 1000, 1, True), "step_cap"),
-                           ((0.3, "5", 1000, 0), "k")]:
+                           ((0.3, "5", 1000, 0), "k"), ((False, 3, 1000, 1), "q"),
+                           (("0.3", 3, 1000, 1), "q")]:
             with pytest.raises(ValueError, match=f"{name} must be a number"):
                 M.race_monte_carlo(*args)
 

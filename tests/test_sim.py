@@ -13,8 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blocktime import sim
-from blocktime.chain import (BLOCK_CSV_FIELDS, ChainStore, ConsensusRules, blocks_to_rows,
-                             retarget)
+from blocktime.chain import BLOCK_CSV_FIELDS, ChainStore, ConsensusRules, block_row, retarget
 from blocktime.sim import (ConfigError, DelayModel, ForkEpisode, MinerSpec, SimConfig, StopRule,
                            run)
 from test_golden import INLINE_CONFIG
@@ -538,7 +537,7 @@ def test_trace_structure(config):
     assert [b.id for b in blocks] == list(range(len(blocks)))
     assert all(a.found_at <= b.found_at for a, b in zip(blocks, blocks[1:]))
     column = BLOCK_CSV_FIELDS.index("cumulative_work")
-    work = [row[column] for row in blocks_to_rows(blocks, trace.work)]
+    work = [block_row(b)[column] for b in blocks]
     assert work[0] == blocks[0].difficulty
     assert all(work[b.id] == work[b.parent] + b.difficulty for b in blocks[1:])
 
@@ -547,7 +546,7 @@ def test_trace_structure(config):
     tips = [0] * config.nodes
     for e in trace.tip_events:
         old = tips[e.node]
-        assert store.work[e.new_tip] > store.work[old]
+        assert work[e.new_tip] > work[old]
         assert e.reorg_depth == blocks[old].height - blocks[store.fork_point(old, e.new_tip)].height
         tips[e.node] = e.new_tip
     assert tips == trace.final_tips
@@ -605,7 +604,7 @@ def test_trace_structure(config):
     # final tip has the most work, and the nodes agree unless that most
     # work is tied between blocks (each node keeps the one it saw first)
     if not trace.rejections:
-        best = max(store.work.values())
-        assert all(store.work[t] == best for t in trace.final_tips)
-        if list(store.work.values()).count(best) == 1:
+        best = max(work)
+        assert all(work[t] == best for t in trace.final_tips)
+        if work.count(best) == 1:
             assert trace.agreement()
