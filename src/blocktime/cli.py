@@ -206,12 +206,16 @@ def cmd_retarget_demo(args) -> int:
 # ---- wiring -------------------------------------------------------------------
 
 def build_parser() -> _Parser:
-    outdir = os.environ.get(OUTDIR_ENV, ".")
+    # the flags several commands share, declared once
+    fmt = _Parser(add_help=False)
+    fmt.add_argument("--format", choices=("csv", "json"), default="csv")
+    outdir = _Parser(add_help=False)
+    outdir.add_argument("--outdir", default=os.environ.get(OUTDIR_ENV, "."))
     top = _Parser(prog="blocktime",
                   description="Block-timing analytics, simulation, and cross-checks.")
     sub = top.add_subparsers(dest="subcommand", required=True)
 
-    pa = sub.add_parser("analytic", parents=[], help="evaluate a closed-form quantity")
+    pa = sub.add_parser("analytic", parents=[fmt], help="evaluate a closed-form quantity")
     pa.add_argument("formula", choices=sorted(_FORMULAS))
     pa.add_argument("--target", type=lambda s: int(s, 0), default=None,
                     help="256-bit target threshold (decimal or 0x hex)")
@@ -226,46 +230,40 @@ def build_parser() -> _Parser:
     pa.add_argument("--q", type=float, default=None, help="attacker hash-rate share")
     pa.add_argument("--k", type=int, default=None, help="confirmation depth")
     pa.add_argument("--p", type=float, default=None, help="success probability")
-    pa.add_argument("--format", choices=("csv", "json"), default="csv")
     pa.set_defaults(func=cmd_analytic)
 
-    ps = sub.add_parser("simulate", help="run a scenario config and emit trace files")
+    ps = sub.add_parser("simulate", parents=[fmt, outdir],
+                        help="run a scenario config and emit trace files")
     ps.add_argument("--config", required=True,
                     help="path to a scenario JSON, or a bundled scenario name "
                          "(baseline, fig2, retarget, forkrate)")
-    ps.add_argument("--outdir", default=outdir)
     ps.add_argument("--seed", type=int, default=None, help="override the config seed")
-    ps.add_argument("--format", choices=("csv", "json"), default="csv")
     ps.add_argument("--reports", action="store_true",
                     help="also confront the trace with the closed forms (reports.csv)")
     ps.set_defaults(func=cmd_simulate)
 
-    pr = sub.add_parser("race", help="Monte Carlo the catch-up race against the closed form")
+    pr = sub.add_parser("race", parents=[fmt],
+                        help="Monte Carlo the catch-up race against the closed form")
     pr.add_argument("--q", type=float, required=True)
     pr.add_argument("--k", type=int, required=True)
     pr.add_argument("--trials", type=int, default=1_000_000)
     pr.add_argument("--seed", type=int, default=0)
     pr.add_argument("--step-cap", type=int, default=None)
-    pr.add_argument("--format", choices=("csv", "json"), default="csv")
     pr.set_defaults(func=cmd_race)
 
-    pe = sub.add_parser("entropy", help="emit the discovery-entropy curve")
+    pe = sub.add_parser("entropy", parents=[fmt, outdir], help="emit the discovery-entropy curve")
     pe.add_argument("--lambda", dest="lam", type=float, default=1.0 / TARGET_SPACING,
                     help="arrival rate (default 1/600)")
     pe.add_argument("--step", type=float, default=1.0)
     pe.add_argument("--horizon", type=float, default=3600.0)
-    pe.add_argument("--outdir", default=outdir)
-    pe.add_argument("--format", choices=("csv", "json"), default="csv")
     pe.set_defaults(func=cmd_entropy)
 
-    pd = sub.add_parser("retarget-demo",
+    pd = sub.add_parser("retarget-demo", parents=[fmt, outdir],
                         help="single-miner scenario with a hash-rate step at the first boundary")
     pd.add_argument("--interval", type=int, default=2016)
     pd.add_argument("--epochs", type=int, default=3)
     pd.add_argument("--factor", type=float, default=2.0)
     pd.add_argument("--seed", type=int, default=0)
-    pd.add_argument("--outdir", default=outdir)
-    pd.add_argument("--format", choices=("csv", "json"), default="csv")
     pd.set_defaults(func=cmd_retarget_demo)
 
     return top
@@ -279,7 +277,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:

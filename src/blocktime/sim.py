@@ -17,6 +17,8 @@ to continuing the pending draw; a discovery drawn on a tip its miner has
 since left is stale.  Both stop rules end through one drain: past the
 stop duration, or once node 0 reaches the stop height, no discovery
 happens and no miner redraws, and every block in flight is delivered.
+The engine only records the run; the trace derives its fork episodes and
+clock advisories from those records and the config.
 
 A run is a pure function of (config, seed): one RNG stream is consumed in
 event order and event ties are broken by a global sequence number, so two
@@ -39,7 +41,7 @@ import json
 import math
 import os
 from collections import defaultdict
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -323,17 +325,39 @@ class SimTrace:
     tip_events records every per-node tip change (reorg_depth 0 = plain
     extension); difficulty_history records each retarget as (boundary
     height, new difficulty for the following window).  The canonical chain
-    is node 0's: the path from genesis to its final tip.
+    is node 0's: the path from genesis to its final tip.  fork_episodes and
+    warnings (the clock advisories) are derived from those when it is built.
     """
 
     config: SimConfig
     blocks: list[Block]
     tip_events: list[TipEvent]
-    fork_episodes: list[ForkEpisode]
     difficulty_history: list[tuple[int, float]]
-    warnings: list[ClockAdvisory]
     rejections: list[Rejection]
     final_tips: list[int]
+    fork_episodes: list[ForkEpisode] = field(init=False)
+    warnings: list[ClockAdvisory] = field(init=False)
+
+    def __post_init__(self):
+        canonical = set(self.canonical_path())
+        # ids are given in pop order, so id order is found_at order (ties in
+        # id order): kid lists, and parents in first-kid order, need no sort
+        kids_of = defaultdict(list)
+        for b in self.blocks:
+            if b.parent is not None:
+                kids_of[b.parent].append(b.id)
+        self.fork_episodes = [
+            ForkEpisode(
+                window_start=self.blocks[kids[0]].found_at,
+                blocks=tuple(kids),
+                winner=next((k for k in kids if k in canonical), None),
+            )
+            for kids in kids_of.values() if len(kids) > 1
+        ]
+        # node i runs miner i; a node that does not mine has offset 0
+        self.warnings = [ClockAdvisory(i, m.clock_offset)
+                         for i, m in enumerate(self.config.miners)
+                         if abs(m.clock_offset) > CLOCK_WARN_OFFSET]
 
     def agreement(self) -> bool:
         """True when every node ended on the same tip."""
@@ -442,8 +466,6 @@ class _Engine:
         self.next_diff: dict[int, float] = {}
         self.tip_events: list[TipEvent] = []
         self.rejections: list[Rejection] = []
-        self.warnings = [ClockAdvisory(i, n.clock_offset) for i, n in enumerate(self.nodes)
-                         if abs(n.clock_offset) > CLOCK_WARN_OFFSET]
 
     # ---- difficulty and rates -------------------------------------------
 
@@ -578,36 +600,12 @@ class _Engine:
         finally:
             if enabled:
                 gc.enable()
-        episodes = self.collect_episodes()
         return SimTrace(
             config=self.cfg,
             blocks=list(self.blocks.values()),
             tip_events=self.tip_events,
-            fork_episodes=episodes,
             difficulty_history=[(0, self.cfg.initial_difficulty)] + [
                 (self.blocks[b].height, d) for b, d in self.next_diff.items()],
-            warnings=self.warnings,
             rejections=self.rejections,
             final_tips=[n.tip for n in self.nodes],
         )
-
-    def collect_episodes(self) -> list[ForkEpisode]:
-        canonical = set()
-        bid = self.nodes[0].tip
-        while bid is not None:
-            canonical.add(bid)
-            bid = self.blocks[bid].parent
-        # ids are given in pop order, so id order is found_at order (ties in
-        # id order): kid lists, and parents in first-kid order, need no sort
-        kids_of = defaultdict(list)
-        for b in self.blocks.values():
-            if b.parent is not None:
-                kids_of[b.parent].append(b.id)
-        return [
-            ForkEpisode(
-                window_start=self.blocks[kids[0]].found_at,
-                blocks=tuple(kids),
-                winner=next((k for k in kids if k in canonical), None),
-            )
-            for kids in kids_of.values() if len(kids) > 1
-        ]

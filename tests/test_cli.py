@@ -412,11 +412,20 @@ class TestSimulateCommand:
                                "--outdir", str(tmp_path))
         assert code == 1
 
-    def test_outdir_env_default(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("BLOCKTIME_OUTDIR", str(tmp_path / "envout"))
-        code, _, _ = run_cli(capsys, "simulate", "--config", "fig2")
-        assert code == 0
-        assert (tmp_path / "envout" / "blocks.csv").exists()
+
+@pytest.mark.parametrize("argv, written", [
+    pytest.param(["simulate", "--config", "fig2"], "blocks.csv", id="simulate"),
+    pytest.param(["entropy", "--step", "600"], "entropy.csv", id="entropy"),
+    pytest.param(["retarget-demo", "--interval", "16", "--epochs", "2"], "difficulty.csv",
+                 id="retarget-demo"),
+])
+def test_outdir_env_default(capsys, tmp_path, monkeypatch, argv, written):
+    """Every command that writes files writes them into $BLOCKTIME_OUTDIR
+    when --outdir is not given."""
+    monkeypatch.setenv("BLOCKTIME_OUTDIR", str(tmp_path / "envout"))
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert (tmp_path / "envout" / written).exists()
 
 
 class TestRetargetDemo:

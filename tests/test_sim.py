@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from blocktime import sim
 from blocktime.chain import BLOCK_CSV_FIELDS, ChainStore, ConsensusRules, block_row, retarget
-from blocktime.sim import (ConfigError, DelayModel, ForkEpisode, MinerSpec, SimConfig, StopRule,
-                           run)
+from blocktime.sim import (CLOCK_WARN_OFFSET, ConfigError, DelayModel, ForkEpisode, MinerSpec,
+                           SimConfig, SimTrace, StopRule, run)
 from test_golden import INLINE_CONFIG
 
 H600 = 2**32 / 600  # hash rate putting difficulty-1 arrivals at 1/600 per second
@@ -488,15 +488,16 @@ def test_tip_history_blocks_all_known():
 @st.composite
 def small_configs(draw):
     """Small networks: 1-3 miners, up to 5 nodes, fixed or per-pair delays,
-    skewed clocks and stamps (some beyond the future bound), retargets every
-    4 or 8 blocks, an optional hash-rate step, block or duration stops."""
+    skewed clocks (some past the clock advisory) and stamps (some beyond the
+    future bound), retargets every 4 or 8 blocks, an optional hash-rate
+    step, block or duration stops."""
     m = draw(st.integers(1, 3))
     n = draw(st.integers(m, 5))
     weights = draw(st.lists(st.integers(1, 4), min_size=m, max_size=m))
     miners = []
     for i, w in enumerate(weights):
         miner = {"id": i, "share": w / sum(weights),
-                 "clock_offset": draw(st.sampled_from([0.0, -150.0, 90.0]))}
+                 "clock_offset": draw(st.sampled_from([0.0, -150.0, 90.0, -900.0]))}
         if draw(st.booleans()):
             miner["strategy"] = {"fixed_skew": draw(st.sampled_from([-3000.0, 7150.0, 7300.0]))}
         miners.append(miner)
@@ -568,6 +569,16 @@ def test_trace_structure(config):
     assert trace.fork_episodes == episodes
     assert all(list(e.blocks) == sorted(set(e.blocks)) for e in episodes)
     assert all(a.window_start <= b.window_start for a, b in zip(episodes, episodes[1:]))
+
+    # one advisory per node whose clock strays, in node order; and the fork
+    # episodes and advisories follow from the six recorded fields alone
+    assert trace.warnings == [
+        (i, node.clock_offset) for i, node in enumerate(engine.nodes)
+        if abs(node.clock_offset) > CLOCK_WARN_OFFSET]
+    rebuilt = SimTrace(config=config, blocks=blocks, tip_events=trace.tip_events,
+                       difficulty_history=trace.difficulty_history,
+                       rejections=trace.rejections, final_tips=trace.final_tips)
+    assert rebuilt == trace
 
     # each node is left with exactly the descendants of the blocks it
     # rejected parked for good, and its known, rejected and parked ids
