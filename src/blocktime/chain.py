@@ -63,7 +63,7 @@ class MissingParent(ChainError):
     """A block arrived before its parent (orphan)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Block:
     """One node of the block DAG.
 
@@ -72,6 +72,8 @@ class Block:
     `found_at` is the ground-truth simulation instant of discovery and is
     not consensus data.  `cumulative_work` is the parent's plus this
     block's difficulty.  The fields, in order, are the chain-dump columns.
+    A run keeps every block it finds, so the class is slotted: a block
+    has no per-instance `__dict__`.
     """
 
     id: int

@@ -40,8 +40,8 @@ import itertools
 import json
 import math
 import os
-from collections import defaultdict
 from dataclasses import dataclass, field, fields
+from operator import itemgetter
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -327,6 +327,10 @@ class SimTrace:
     height, new difficulty for the following window).  The canonical chain
     is node 0's: the path from genesis to its final tip.  fork_episodes and
     warnings (the clock advisories) are derived from those when it is built.
+    The fork table takes one pass over the blocks: each parent's first kid
+    goes into an id-indexed list, a kid list is started only for a parent
+    with a second kid, the forks are sorted by first kid, and each winner is
+    the canonical path's block at the kids' height when it is one of them.
     """
 
     config: SimConfig
@@ -339,21 +343,26 @@ class SimTrace:
     warnings: list[ClockAdvisory] = field(init=False)
 
     def __post_init__(self):
-        canonical = set(self.canonical_path())
+        blocks = self.blocks
         # ids are given in pop order, so id order is found_at order (ties in
-        # id order): kid lists, and parents in first-kid order, need no sort
-        kids_of = defaultdict(list)
-        for b in self.blocks:
-            if b.parent is not None:
-                kids_of[b.parent].append(b.id)
-        self.fork_episodes = [
-            ForkEpisode(
-                window_start=self.blocks[kids[0]].found_at,
-                blocks=tuple(kids),
-                winner=next((k for k in kids if k in canonical), None),
-            )
-            for kids in kids_of.values() if len(kids) > 1
-        ]
+        # id order): kid lists need no sort, and a fork's first kid opens it
+        first: list[Optional[int]] = [None] * len(blocks)
+        forks: dict[int, list[int]] = {}
+        for b in blocks:
+            p = b.parent
+            if p is None:
+                continue
+            if first[p] is None:
+                first[p] = b.id
+            else:
+                forks.setdefault(p, [first[p]]).append(b.id)
+        # path[h] is the canonical block at height h; a fork's kids share one
+        path = self.canonical_path()
+        self.fork_episodes = []
+        for kids in sorted(forks.values(), key=itemgetter(0)):
+            h = blocks[kids[0]].height
+            winner = path[h] if h < len(path) and path[h] in kids else None
+            self.fork_episodes.append(ForkEpisode(blocks[kids[0]].found_at, tuple(kids), winner))
         # node i runs miner i; a node that does not mine has offset 0
         self.warnings = [ClockAdvisory(i, m.clock_offset)
                          for i, m in enumerate(self.config.miners)

@@ -5,15 +5,18 @@ import gc
 import json
 import math
 import re
+import tracemalloc
 from collections import Counter
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blocktime import sim
-from blocktime.chain import BLOCK_CSV_FIELDS, ChainStore, ConsensusRules, block_row, retarget
+from blocktime.chain import (BLOCK_CSV_FIELDS, Block, ChainStore, ConsensusRules, block_row,
+                             make_genesis, retarget)
 from blocktime.sim import (CLOCK_WARN_OFFSET, ConfigError, DelayModel, ForkEpisode, MinerSpec,
                            SimConfig, SimTrace, StopRule, run)
 from test_golden import INLINE_CONFIG
@@ -311,6 +314,118 @@ class TestPropagationAndForks:
         assert not tr.rejections
 
 
+def kids_of(blocks) -> dict[int, list[int]]:
+    """Child ids per parent id, in id order, parents in first-child order."""
+    children: dict[int, list[int]] = {}
+    for b in blocks[1:]:
+        children.setdefault(b.parent, []).append(b.id)
+    return children
+
+
+def assert_fork_table(trace):
+    """The trace's fork table is the one its definition gives: one episode
+    per parent with two or more children, kids stable-sorted by discovery,
+    episodes stable-sorted by window start (ties in first-child id order),
+    the first canonical kid wins."""
+    blocks = trace.blocks
+    canonical = set(trace.canonical_path())
+    episodes = []
+    for kids in kids_of(blocks).values():
+        if len(kids) >= 2:
+            kids = sorted(kids, key=lambda i: blocks[i].found_at)
+            winner = next((k for k in kids if k in canonical), None)
+            episodes.append(ForkEpisode(blocks[kids[0]].found_at, tuple(kids), winner))
+    episodes.sort(key=lambda e: e.window_start)
+    assert trace.fork_episodes == episodes
+    assert all(list(e.blocks) == sorted(set(e.blocks)) for e in episodes)
+    assert all(a.window_start <= b.window_start for a, b in zip(episodes, episodes[1:]))
+
+
+def recorded_fields(trace) -> dict:
+    """The fields a run records, from which a SimTrace is built."""
+    return {f.name: getattr(trace, f.name) for f in dataclasses.fields(SimTrace) if f.init}
+
+
+@pytest.fixture(scope="module")
+def forkrate_2k():
+    """A forkrate-like trace: two even miners 60 s apart, 2,000 blocks."""
+    return run(dataclasses.replace(scenario("forkrate"), stop=StopRule(blocks=2000)))
+
+
+class TestForkTable:
+    @staticmethod
+    def hand_made(parents, final_tip):
+        """A trace of the given parent ids (genesis first), block i found at
+        10 i seconds, with node 0 ending on `final_tip`."""
+        blocks = [make_genesis(1.0)]
+        for i, p in enumerate(parents[1:], 1):
+            parent = blocks[p]
+            blocks.append(Block(i, p, parent.height + 1, 0, 10 * i, 1.0,
+                                parent.cumulative_work + 1.0, 10.0 * i))
+        return SimTrace(config=cfg(), blocks=blocks, tip_events=[],
+                        difficulty_history=[(0, 1.0)], rejections=[], final_tips=[final_tip])
+
+    @pytest.mark.parametrize("parents, final_tip, episodes, csv_text", [
+        # a fork of genesis
+        ([None, 0, 0, 1], 3, [(10.0, (1, 2), 1)], "10.0,1|2,1\n"),
+        # two interleaved forks: parent 2 has kids 3 and 6, parent 3 kids 4
+        # and 5; ordered by first kid, 2's comes first (by second kid, 3's would)
+        ([None, 0, 1, 2, 3, 3, 2], 4, [(30.0, (3, 6), 3), (40.0, (4, 5), 4)],
+         "30.0,3|6,3\n40.0,4|5,4\n"),
+        # a three-way fork
+        ([None, 0, 1, 1, 1, 3], 5, [(20.0, (2, 3, 4), 3)], "20.0,2|3|4,3\n"),
+        # the canonical kid is not the first kid
+        ([None, 0, 1, 1, 3], 4, [(20.0, (2, 3), 3)], "20.0,2|3,3\n"),
+        # node 0 ends at height 1, below the second fork's kids: that fork
+        # has no winner, and the canonical path has no entry at their height
+        ([None, 0, 0, 1, 1], 2, [(10.0, (1, 2), 2), (30.0, (3, 4), None)],
+         "10.0,1|2,2\n30.0,3|4,\n"),
+    ])
+    def test_edge_cases(self, parents, final_tip, episodes, csv_text, tmp_path):
+        trace = self.hand_made(parents, final_tip)
+        assert trace.fork_episodes == [ForkEpisode(*e) for e in episodes]
+        assert_fork_table(trace)
+        trace.write_csvs(tmp_path)
+        assert (tmp_path / "forks.csv").read_bytes() == (
+            "window_start,blocks,winner\n" + csv_text).encode()
+
+    def test_long_traces(self, forkrate_2k, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        from workloads import relay_config
+
+        relay = run(SimConfig.from_dict(relay_config(0, 300)))
+        for trace in (relay, forkrate_2k):
+            assert trace.fork_episodes
+            assert_fork_table(trace)
+
+
+class TestMemoryPerBlock:
+    """A run keeps every block, so what it needs per block sets its peak."""
+
+    def test_fork_table_transient(self, forkrate_2k):
+        # only forks get a kid list: about 30 B per block above the start,
+        # where a kid list per parent and a canonical set took about 190
+        fields = recorded_fields(forkrate_2k)
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            rebuilt = SimTrace(**fields)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rebuilt == forkrate_2k
+        assert (peak - start) / len(forkrate_2k.blocks) < 64
+
+    def test_block_is_slotted(self):
+        block = make_genesis(1.0)
+        assert not hasattr(block, "__dict__")
+        moved = dataclasses.replace(block, found_at=5.0)
+        assert moved == Block(0, None, 0, -1, 0, 1.0, 1.0, 5.0) != block
+        assert dataclasses.replace(moved, found_at=0.0) == block
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            block.found_at = 5.0
+
+
 class TestTimestampSkew:
     def skew_cfg(self, skew, seed=3):
         return cfg(
@@ -552,37 +667,20 @@ def test_trace_structure(config):
         tips[e.node] = e.new_tip
     assert tips == trace.final_tips
 
-    # one episode per parent with two or more children: parents in
-    # first-child id order, kids stable-sorted by discovery, episodes
-    # stable-sorted by window start, the first canonical kid wins
-    canonical = set(trace.canonical_path())
-    children: dict[int, list[int]] = {}
-    for b in blocks[1:]:
-        children.setdefault(b.parent, []).append(b.id)
-    episodes = []
-    for kids in children.values():
-        if len(kids) >= 2:
-            kids = sorted(kids, key=lambda i: blocks[i].found_at)
-            winner = next((k for k in kids if k in canonical), None)
-            episodes.append(ForkEpisode(blocks[kids[0]].found_at, tuple(kids), winner))
-    episodes.sort(key=lambda e: e.window_start)
-    assert trace.fork_episodes == episodes
-    assert all(list(e.blocks) == sorted(set(e.blocks)) for e in episodes)
-    assert all(a.window_start <= b.window_start for a, b in zip(episodes, episodes[1:]))
+    # one episode per parent with two or more children
+    assert_fork_table(trace)
 
     # one advisory per node whose clock strays, in node order; and the fork
     # episodes and advisories follow from the six recorded fields alone
     assert trace.warnings == [
         (i, node.clock_offset) for i, node in enumerate(engine.nodes)
         if abs(node.clock_offset) > CLOCK_WARN_OFFSET]
-    rebuilt = SimTrace(config=config, blocks=blocks, tip_events=trace.tip_events,
-                       difficulty_history=trace.difficulty_history,
-                       rejections=trace.rejections, final_tips=trace.final_tips)
-    assert rebuilt == trace
+    assert SimTrace(**recorded_fields(trace)) == trace
 
     # each node is left with exactly the descendants of the blocks it
     # rejected parked for good, and its known, rejected and parked ids
     # partition every block id
+    children = kids_of(blocks)
     for i, node in enumerate(engine.nodes):
         rejected = {r.block for r in trace.rejections if r.node == i}
         stranded = {b.id for parked in node.pending.values() for b in parked}
