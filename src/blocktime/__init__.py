@@ -28,7 +28,6 @@ from .chain import (
     make_genesis,
     median_past_time,
     retarget,
-    select_tip,
     validate_timestamp,
 )
 from .metrics import (

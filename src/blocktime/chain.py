@@ -7,8 +7,8 @@ median-past-time is fixed once it is stored, and the store holds no tip.
 A TipView is one participant's accepted ids and tip inside a store, and
 the only code that keeps a tip; the simulator shares one store across the
 network and each node is a TipView over it.
-The tip rule (`select_tip`) is most-cumulative-work with a first-seen tie
-break, so replaying the same acceptance sequence always reproduces the
+The tip rule (`TipView.accept`) is most-cumulative-work with a first-seen
+tie break, so replaying the same acceptance sequence always reproduces the
 same tip at every step.  A move always lands on the accepted block, so the
 rule reports only the move's reorg depth, or None when the tip stays.
 
@@ -101,8 +101,13 @@ def _real(value, name: str):
 
 def finite_number(value, name: str) -> float:
     """`value` as a float; ConfigError unless it is a finite real number
-    (JSON admits NaN and Infinity literals)."""
-    x = float(_real(value, name))
+    (JSON admits NaN and Infinity literals, and integers beyond the float
+    range)."""
+    try:
+        x = float(_real(value, name))
+    except OverflowError:
+        raise ConfigError(f"{name} must be a finite number, "
+                          "got an integer beyond the float range") from None
     if not math.isfinite(x):
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
     return x
@@ -217,24 +222,6 @@ class ChainStore:
         return ba.id
 
 
-def select_tip(store: ChainStore, tip: int, candidate: int) -> Optional[int]:
-    """The tip rule: a view whose tip is `tip` has just accepted the stored
-    block `candidate`.  Returns None when the tip stays, else the reorg
-    depth of the move to `candidate`.
-
-    The tip moves only when the candidate has strictly more cumulative work,
-    so at equal work the earlier-accepted block stays.  A move always lands
-    on the candidate and abandons old tip height - fork point height blocks
-    of the old canonical path: 0 for a plain extension.
-    """
-    blocks = store.blocks
-    if blocks[candidate].cumulative_work <= blocks[tip].cumulative_work:
-        return None
-    if blocks[candidate].parent == tip:
-        return 0
-    return blocks[tip].height - blocks[store.fork_point(tip, candidate)].height
-
-
 class TipView:
     """One participant's view of a store: the ids it has accepted (genesis
     from the start) and the tip the tip rule chose among them."""
@@ -247,13 +234,24 @@ class TipView:
         self.tip: int = store.genesis
 
     def accept(self, block_id: int) -> Optional[int]:
-        """Accept a stored block and move the tip to it when `select_tip`
-        says so; return what `select_tip` returned (None: the tip stays)."""
+        """The tip rule: accept the stored block `block_id`; return None
+        when the tip stays, else the reorg depth of the move to it.
+
+        The tip moves only when the block has strictly more cumulative work,
+        so at equal work the earlier-accepted block stays.  A move always
+        lands on the accepted block and abandons old tip height minus fork
+        point height blocks of the old canonical path: 0 for a plain
+        extension.
+        """
         self.known.add(block_id)
-        depth = select_tip(self.store, self.tip, block_id)
-        if depth is not None:
-            self.tip = block_id
-        return depth
+        blocks, old = self.store.blocks, self.tip
+        block = blocks[block_id]
+        if block.cumulative_work <= blocks[old].cumulative_work:
+            return None
+        self.tip = block_id
+        if block.parent == old:
+            return 0
+        return blocks[old].height - blocks[self.store.fork_point(old, block_id)].height
 
 
 def median_past_time(store: ChainStore, parent_id: int) -> int:

@@ -306,6 +306,7 @@ def default_step_cap(q: float, k: int) -> int:
 
 _BATCH = 1 << 16
 _SLAB = 64
+_K_MAX = int(np.iinfo(np.int32).max) - _SLAB
 # A slab's steps are packed 8 to a byte, first step in the high bit, a set
 # bit for a down-step (-1) and a clear bit for an up-step (+1).  For every
 # byte value, _NET is the net move of its 8 steps and _LOW the lowest of
@@ -354,6 +355,9 @@ def race_monte_carlo(q: float, k: int, trials: int, seed: int,
     k = whole_number(k, "k")
     if k < 0:
         raise ValueError("k must be a nonnegative integer")
+    # the deficit is int32, and one slab can add _SLAB to it
+    if k > _K_MAX:
+        raise ValueError(f"k must be at most {_K_MAX}, got {k}")
     trials = whole_number(trials, "trials")
     if trials < 1:
         raise ValueError("trials must be at least 1")

@@ -272,8 +272,6 @@ class SimConfig:
             )
         except KeyError as exc:
             raise ConfigError(f"missing config key: {exc.args[0]}") from None
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from None
 
     @classmethod
     def from_json(cls, path) -> "SimConfig":

@@ -26,9 +26,10 @@ class TestThetaFromTarget:
         theta = an.theta_from_target(2**256 - 1)
         assert theta == pytest.approx(1.0, rel=1e-15)
 
-    @pytest.mark.parametrize("bad", [0, -1, 2**256, 2**257])
+    @pytest.mark.parametrize("bad", [0, -1, 2**256, 2**257, 1.0])
     def test_domain(self, bad):
-        with pytest.raises(ValueError):
+        message = "an integer" if isinstance(bad, float) else "strictly between 0 and 2"
+        with pytest.raises(ValueError, match=f"^target must (be|lie) {message}"):
             an.theta_from_target(bad)
 
 
@@ -83,6 +84,9 @@ class TestExpectedTrials:
     def test_domain(self):
         with pytest.raises(ValueError):
             an.expected_trials(100, -1)
+        for hashrate in (0, -1.0):
+            with pytest.raises(ValueError, match="^hashrate must be positive$"):
+                an.expected_trials(hashrate, 600)
 
 
 class TestDiscoveryCdf:
@@ -212,6 +216,18 @@ class TestForkProbability:
         # six significant digits survive the cancellation at tau = 2
         exact = 1 - math.exp(-1 / 300) - (1 / 300) * math.exp(-1 / 300)
         assert an.fork_probability(1 / 600, 2) == pytest.approx(exact, rel=1e-6)
+
+
+@pytest.mark.parametrize("formula, window", [
+    (an.discovery_cdf, "t"), (an.interval_tail_probability, "threshold"),
+    (an.fork_probability, "tau"),
+], ids=["discovery_cdf", "interval_tail_probability", "fork_probability"])
+def test_rate_and_window_domain(formula, window):
+    for lam in (0.0, -1 / 600):
+        with pytest.raises(ValueError, match="^arrival rate must be positive$"):
+            formula(lam, 1.0)
+    with pytest.raises(ValueError, match=f"^{window} must be nonnegative$"):
+        formula(1 / 600, -1.0)
 
 
 class TestForkEpisodesPerBlock:

@@ -29,7 +29,6 @@ from blocktime.chain import (
     make_genesis,
     median_past_time,
     retarget,
-    select_tip,
     validate_timestamp,
     write_table,
 )
@@ -186,6 +185,15 @@ class TestInsertAndTip:
         store.insert(a)
         with pytest.raises(ChainError):
             store.insert(replace(child(a, 9, 50), height=7))
+        for genesis in (replace(make_genesis(1.0), parent=5), replace(make_genesis(1.0), height=1)):
+            with pytest.raises(ChainError, match="^genesis must have height 0 and no parent$"):
+                ChainStore(genesis)
+
+    def test_zero_difficulty(self):
+        store, _ = fig2_store()
+        with pytest.raises(ChainError, match="^block difficulty must be positive$"):
+            store.insert(child(store.get(0), 1, 10, difficulty=0.0))
+        assert 1 not in store.blocks
 
     def test_bad_cumulative_work(self):
         store, (a, *_ ) = fig2_store()
@@ -246,18 +254,18 @@ class TestTipView:
         view = TipView(store)
         assert view.known == {0} and view.tip == 0
 
-    def test_accept_grows_known_and_returns_select_tip(self):
+    def test_accept_grows_known_and_follows_the_tip_rule(self):
+        # fig2 order A, B, C', C, D on a store that holds every block: C
+        # ties C' and stays out, D reorgs C' away
         store, (a, b, c, c2, d) = fig2_store()
         for blk in (a, b, c, c2, d):
             store.insert(blk)
         view = TipView(store)
-        for blk in (a, b, c2, c, d):
-            old = view.tip
-            expected = select_tip(store, old, blk.id)
+        for blk, depth, tip in zip((a, b, c2, c, d), (0, 0, 0, None, 1), (a, b, c2, c2, d)):
             known = view.known | {blk.id}
-            assert view.accept(blk.id) == expected
+            assert view.accept(blk.id) == depth
             assert view.known == known
-            assert view.tip == (old if expected is None else blk.id)
+            assert view.tip == tip.id
 
     def test_views_of_one_store_are_independent(self):
         # the store holds no tip; two views that heard the siblings in
@@ -534,3 +542,8 @@ class TestWriteTableJson:
         with pytest.raises(ValueError):
             write_table(tmp_path / "t.json", ("a", "a"), [[1, 2]], "json")
         assert not (tmp_path / "t.json").exists()
+
+    def test_unknown_format_raises_value_error(self, tmp_path):
+        with pytest.raises(ValueError, match="^unknown format 'xml'$"):
+            write_table(tmp_path / "t.xml", ("a",), [[1]], "xml")
+        assert not (tmp_path / "t.xml").exists()

@@ -9,6 +9,7 @@ import pytest
 
 from blocktime import analytic as an
 from blocktime.cli import main
+from test_sim import HUGE_INT_OVERRIDES
 
 
 def run_cli(capsys, *argv):
@@ -152,7 +153,12 @@ class TestRaceCommand:
         (["--q", "0.3", "--step-cap", "0"], "step-cap"),
         (["--q", "0.6", "--step-cap", "-5"], "step-cap"),
         (["--q", "0.3", "--seed", "-1"], "seed"),
-    ], ids=["step-cap-zero", "step-cap-negative-majority", "seed-negative"])
+        (["--q", "0.3", "--k", "-1"], "k"),
+        (["--q", "0.3", "--trials", "0"], "trials"),
+        # the walk's int32 deficit cannot hold it: refused before any walk
+        (["--q", "0.3", "--k", "2147483648", "--trials", "10"], "k must be at most"),
+    ], ids=["step-cap-zero", "step-cap-negative-majority", "seed-negative", "k-negative",
+            "trials-zero", "k-beyond-int32"])
     def test_bad_numbers_exit_one(self, capsys, flags, name):
         code, out, err = run_cli(capsys, "race", "--k", "3", "--trials", "1000", *flags)
         assert code == 1
@@ -335,6 +341,18 @@ class TestSimulateCommand:
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "blocks.csv").exists()
+
+    @pytest.mark.parametrize("overrides", HUGE_INT_OVERRIDES.values(), ids=HUGE_INT_OVERRIDES)
+    def test_huge_integers_exit_one(self, capsys, tmp_path, overrides):
+        d = json.loads((resources.files("blocktime") / "scenarios" / "baseline.json").read_text())
+        d.update(overrides)
+        config = tmp_path / "huge.json"
+        config.write_text(json.dumps(d))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(config),
+                                 "--outdir", str(tmp_path / "out"))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "must be a finite number" in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("config, named", [
         (None, None),

@@ -184,6 +184,13 @@ class TestRaceMonteCarlo:
         for k in (2.5, math.inf, math.nan):
             with pytest.raises(ValueError, match="k must"):
                 M.race_monte_carlo(0.3, k, 1000, seed=1)
+        # the walk's int32 deficit, plus one slab, must hold k: refused
+        # before any walk starts
+        for k in (2**31 - 64, 2**31, 10**400):
+            with pytest.raises(ValueError, match=f"k must be at most {2**31 - 65}, got {k}$"):
+                M.race_monte_carlo(0.3, k, 10, seed=1)
+        with pytest.raises(ValueError, match="q must be a finite number"):
+            M.race_monte_carlo(10**400, 3, 1000, seed=1)
         with pytest.raises(ValueError, match="trials"):
             M.race_monte_carlo(0.3, 3, 1000.5, seed=1)
         for seed in (1.5, -1):

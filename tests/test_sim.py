@@ -1,5 +1,6 @@
 """Tests for the discrete-event simulator."""
 
+import copy
 import dataclasses
 import gc
 import json
@@ -37,6 +38,22 @@ def cfg(**overrides):
     }
     base.update(overrides)
     return SimConfig.from_dict(base)
+
+
+HUGE = 10**400  # a JSON integer beyond the float range
+
+# config overrides that set each number read as a float to HUGE
+HUGE_INT_OVERRIDES = {
+    "share": {"miners": [{"id": 0, "share": HUGE}]},
+    "clock_offset": {"miners": [{"id": 0, "share": 1.0, "clock_offset": HUGE}]},
+    "skew": {"miners": [{"id": 0, "share": 1.0, "strategy": {"fixed_skew": HUGE}}]},
+    "delay.fixed": {"delay": {"fixed": HUGE}},
+    "per_pair": {"nodes": 2, "delay": {"per_pair": [[0.0, HUGE], [1.0, 0.0]]}},
+    "initial_difficulty": {"initial_difficulty": HUGE},
+    "nominal_hashrate": {"nominal_hashrate": HUGE},
+    "stop.duration": {"stop": {"duration": HUGE}},
+    "hashrate step factor": {"hashrate_steps": [[10, HUGE]]},
+}
 
 
 def scenario(name):
@@ -187,11 +204,99 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
             DelayModel.from_dict(delay)
 
+    @pytest.mark.parametrize("overrides", HUGE_INT_OVERRIDES.values(), ids=HUGE_INT_OVERRIDES)
+    def test_huge_integers_are_not_finite(self, overrides):
+        with pytest.raises(ConfigError, match="must be a finite number"):
+            cfg(**overrides)
+
+    STEP_REFUSAL = "hashrate steps need positive height and factor"
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: MinerSpec(0, 1.5), "miner 0: share must be in (0, 1]"),
+        (lambda: StopRule(duration=0), "stop duration must be positive"),
+        (lambda: cfg(miners=[{"id": 3, "share": 0.5}, {"id": 3, "share": 0.5}], nodes=2),
+         "miner ids must be unique"),
+        (lambda: cfg(nodes=3, delay={"per_pair": [[0.0, 1.0], [1.0, 0.0]]}),
+         "per-pair delay matrix size must match node count"),
+        (lambda: cfg(nominal_hashrate=0.0), "nominal hash rate must be positive"),
+        (lambda: cfg(hashrate_steps=[[0, 2.0]]), STEP_REFUSAL),
+        (lambda: cfg(hashrate_steps=[[10, -1.0]]), STEP_REFUSAL),
+    ], ids=["share-above-one", "zero-duration", "duplicate-miner-ids", "matrix-size",
+            "zero-hashrate", "step-height", "step-factor"])
+    def test_refusal_messages(self, build, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            build()
+
     def test_delay_model_helpers(self):
         assert DelayModel(fixed=3.0).max_delay() == 3.0
         m = DelayModel(per_pair=[[0.0, 2.0], [5.0, 0.0]])
         assert m.delay(1, 0) == 5.0
         assert m.max_delay() == 5.0
+
+
+# a valid config that sets every key, with a fixed skew and a per-pair matrix
+FUZZ_BASE = {
+    "miners": [{"id": 0, "share": 0.25, "clock_offset": -90.0},
+               {"id": 1, "share": 0.75, "strategy": {"fixed_skew": 30.0}}],
+    "nodes": 2,
+    "delay": {"per_pair": [[0.0, 5.0], [7.0, 0.0]]},
+    "rules": {"retarget_interval": 8},
+    "initial_difficulty": 1.0,
+    "nominal_hashrate": H600,
+    "stop": {"blocks": 20},
+    "seed": 3,
+    "retarget_enabled": True,
+    "hashrate_steps": [[4, 2.0]],
+}
+FUZZ_ATOMS = st.sampled_from([
+    None, True, False, "", "x", "honest", math.nan, math.inf, -math.inf, HUGE, -HUGE, 2**64,
+    0, -1, 0.5, 2.5, 1e308, [], [[]], [[0.0, 1.0], [2.0]], [1, 2, 3], {}, {"fixed": 1.0, "x": 2},
+    {"fixed_skew": "x"}, [{"id": 0}],
+]).map(copy.deepcopy)  # a later mutation must not edit the shared atom
+
+
+def _paths(doc, path=()):
+    """Every path into a JSON document, the root included."""
+    yield path
+    if isinstance(doc, dict):
+        items = doc.items()
+    else:
+        items = enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(st.data())
+def test_from_dict_builds_a_config_or_raises_config_error(data):
+    """A mutated config -- keys dropped, unknown keys added, values
+    swapped for atoms of every JSON type and shape -- either builds or is
+    refused with ConfigError, and nothing else.  Configs are only built,
+    never run: a valid one may ask for a huge number of nodes."""
+    doc = copy.deepcopy(FUZZ_BASE)
+    for _ in range(data.draw(st.integers(1, 4))):
+        path = data.draw(st.sampled_from(list(_paths(doc))))
+        if not path:
+            doc = data.draw(FUZZ_ATOMS)
+            continue
+        *head, last = path
+        parent = doc
+        for key in head:
+            parent = parent[key]
+        action = data.draw(st.sampled_from(["replace", "drop", "add"]))
+        if action == "replace":
+            parent[last] = data.draw(FUZZ_ATOMS)
+        elif action == "drop":
+            del parent[last]
+        elif isinstance(parent, dict):
+            parent["unknown"] = data.draw(FUZZ_ATOMS)
+        else:
+            parent.append(data.draw(FUZZ_ATOMS))
+    try:
+        config = SimConfig.from_dict(doc)
+    except ConfigError:
+        return
+    assert isinstance(config, SimConfig)
 
 
 class TestSingleMiner:
