@@ -14,6 +14,8 @@ Domain violations raise ValueError.
 
 import math
 
+from .chain import finite_number, whole_number
+
 # Size of the hash output space: a hash attempt succeeds when the output,
 # read as an integer, falls below the target threshold.
 HASH_SPACE = 2**256
@@ -184,6 +186,15 @@ def fork_episodes_per_block(share: float, lam: float, tau: float) -> float:
     return 2.0 * share * (1.0 - share) * x * (1.0 - x)
 
 
+def catchup_setting(q, k) -> tuple[float, int]:
+    """(q, k) as (float, int); ValueError unless q is a real number in [0, 1)
+    and k a whole number of at least 0 (booleans are not numbers)."""
+    q = finite_number(q, "q")
+    if not 0 <= q < 1:
+        raise ValueError("q must lie in [0, 1)")
+    return q, whole_number(k, "k", 0)
+
+
 def catchup_probability(q: float, k: int) -> float:
     """Probability that an attacker with hash-rate share q ever erases a
     deficit of k blocks against the honest majority p = 1 - q.
@@ -192,16 +203,9 @@ def catchup_probability(q: float, k: int) -> float:
     reaches 0 almost surely, so the function returns the limit value 1
     rather than rejecting the input.  k = 0 means no deficit: returns 1.
     """
-    if not 0 <= q < 1:
-        raise ValueError("q must lie in [0, 1)")
-    if k < 0 or int(k) != k:
-        raise ValueError("k must be a nonnegative integer")
-    if k == 0:
-        return 1.0
+    q, k = catchup_setting(q, k)
     p = 1.0 - q
-    if q >= p:
-        return 1.0
-    return (q / p) ** k
+    return 1.0 if k == 0 or q >= p else (q / p) ** k
 
 
 def infer_hashrate(lam: float, difficulty: float) -> float:

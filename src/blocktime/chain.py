@@ -90,12 +90,22 @@ def make_genesis(difficulty: float) -> Block:
     return Block(GENESIS_ID, None, 0, GENESIS_MINER, 0, difficulty, difficulty, 0.0)
 
 
+def spell(value) -> str:
+    """`value` as a refusal shows it, never raising: its repr, or its type
+    where repr raises (an integer past the int-to-str digit limit, or
+    nesting too deep)."""
+    try:
+        return repr(value)
+    except (ValueError, RecursionError):
+        return f"<{type(value).__name__} too large to print>"
+
+
 def _real(value, name: str):
     """`value` itself; ConfigError unless it is a real number.  Booleans
     are refused (`bool` subclasses `int`, so JSON `true` would read as 1),
     and so are strings, which `float` and `int` would parse."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
+        raise ConfigError(f"{name} must be a number, got {spell(value)}")
     return value
 
 
@@ -109,7 +119,7 @@ def finite_number(value, name: str) -> float:
         raise ConfigError(f"{name} must be a finite number, "
                           "got an integer beyond the float range") from None
     if not math.isfinite(x):
-        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+        raise ConfigError(f"{name} must be a finite number, got {spell(value)}")
     return x
 
 
@@ -118,7 +128,7 @@ def config_object(value, name: str, keys, kind: Optional[str] = None) -> dict:
     lie in `keys`.  `name` names the value and `kind` (`name` by default)
     its entries in the unknown-key message."""
     if not isinstance(value, dict):
-        raise ConfigError(f"{name} must be a JSON object, got {value!r}")
+        raise ConfigError(f"{name} must be a JSON object, got {spell(value)}")
     unknown = set(value) - set(keys)
     if unknown:
         raise ConfigError(f"unknown {kind or name} keys: {sorted(unknown)}")
@@ -130,15 +140,18 @@ def config_list(value, name: str, length: Optional[int] = None) -> tuple:
     tuple), of `length` entries when that is given."""
     if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
         shape = "a JSON array" if length is None else f"a JSON array of {length}"
-        raise ConfigError(f"{name} must be {shape}, got {value!r}")
+        raise ConfigError(f"{name} must be {shape}, got {spell(value)}")
     return tuple(value)
 
 
-def whole_number(value, name: str) -> int:
+def whole_number(value, name: str, least: Optional[int] = None) -> int:
     """`value` as an int; ConfigError unless it is an integral real number
-    (2.0 passes; 2.5, NaN, Infinity, booleans and strings do not)."""
+    (2.0 passes; 2.5, NaN, Infinity, booleans and strings do not) of at
+    least `least`, when that is given."""
     if not isinstance(_real(value, name), numbers.Integral) and not float(value).is_integer():
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
+        raise ConfigError(f"{name} must be an integer, got {spell(value)}")
+    if least is not None and value < least:
+        raise ConfigError(f"{name} must be at least {least}, got {spell(value)}")
     return int(value)
 
 
@@ -156,10 +169,7 @@ class ConsensusRules:
     retarget_interval: int = 2016
 
     def __post_init__(self):
-        interval = whole_number(self.retarget_interval, "retarget_interval")
-        if interval <= 0:
-            raise ConfigError("retarget_interval must be positive")
-        set_fields(self, retarget_interval=interval)
+        set_fields(self, retarget_interval=whole_number(self.retarget_interval, "retarget_interval", 1))
 
     @classmethod
     def from_dict(cls, d: dict) -> "ConsensusRules":

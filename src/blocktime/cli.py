@@ -116,35 +116,28 @@ def cmd_simulate(args) -> int:
     for w in trace.warnings:
         print(f"  advisory: node {w.node} offset {w.offset:+.0f}s: {CLOCK_ADVISORY}")
     if args.reports:
-        written.append(_emit_reports(trace, args.outdir))
+        written.append(_emit_reports(trace, args.outdir, args.format))
     for path in written:
         print(f"  wrote {path}")
     return 0
 
 
-def _emit_reports(trace, outdir) -> str:
-    """Confront the trace with the closed forms and write reports.csv."""
+def _emit_reports(trace, outdir, fmt) -> str:
+    """Confront the trace with the closed forms and write reports.<fmt>."""
     reports = metrics.trace_reports(trace)
     for rep in reports:
         print(f"  {rep}")
-    path = os.path.join(outdir, "reports.csv")
-    metrics.write_reports_csv(reports, path)
+    path = os.path.join(outdir, f"reports.{fmt}")
+    metrics.write_reports(reports, path, fmt)
     return path
 
 
 # ---- race ------------------------------------------------------------------
 
 def cmd_race(args) -> int:
-    if not 0 <= args.q < 1:
-        raise _UsageError("--q must lie in [0, 1)")
-    if args.k < 0:
-        raise _UsageError("--k must be nonnegative")
-    if args.trials < 1:
-        raise _UsageError("--trials must be at least 1")
-    if args.step_cap is not None and args.step_cap < 1:
-        raise _UsageError("--step-cap must be at least 1")
+    # the race checks its own inputs, so it runs before anything is printed
+    estimate = metrics.race_monte_carlo(args.q, args.k, args.trials, args.seed, args.step_cap)
     step_cap = metrics.default_step_cap(args.q, args.k) if args.step_cap is None else args.step_cap
-    estimate = metrics.race_monte_carlo(args.q, args.k, args.trials, args.seed, step_cap)
     closed = analytic.catchup_probability(args.q, args.k)
     z = metrics.binomial_report("race", closed, estimate, args.trials).z
     note = None
@@ -239,7 +232,7 @@ def build_parser() -> _Parser:
                          "(baseline, fig2, retarget, forkrate)")
     ps.add_argument("--seed", type=int, default=None, help="override the config seed")
     ps.add_argument("--reports", action="store_true",
-                    help="also confront the trace with the closed forms (reports.csv)")
+                    help="also confront the trace with the closed forms (reports.<format>)")
     ps.set_defaults(func=cmd_simulate)
 
     pr = sub.add_parser("race", parents=[fmt],

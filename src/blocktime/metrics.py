@@ -23,6 +23,7 @@ import numpy as np
 from .analytic import (
     FORK_EPISODES_MAX_LAMTAU,
     bernoulli_entropy,
+    catchup_setting,
     discovery_cdf,
     entropy_peak_time,
     fork_episodes_per_block,
@@ -31,7 +32,7 @@ from .analytic import (
     interval_tail_probability,
     theta_from_difficulty,
 )
-from .chain import finite_number, whole_number, write_table
+from .chain import spell, whole_number, write_table
 from .sim import SimTrace
 
 UNDERPOWERED_EVENTS = 10
@@ -284,24 +285,29 @@ def entropy_trajectory(lam: float, grid_step: float, horizon: float) -> list[tup
     return out
 
 
-def default_step_cap(q: float, k: int) -> int:
-    """Step budget keeping the truncation bias of the race walk far below
-    the binomial noise of a million-trial estimate.
+def _step_floor(q: float, k: int) -> int:
+    """The smallest step cap the race takes: at q < 0.5 ten times k/(1-2q),
+    the mean steps in which a walk that catches up erases k (a rule of
+    thumb, not a bound on the truncation bias: see default_step_cap)."""
+    return max(1, math.ceil(10.0 * k / (1.0 - 2.0 * q))) if q < 0.5 else 1
 
-    The still-alive success mass at step C shrinks like (q/p)^(drift*C)
-    with drift 1-2q, so beyond C ~ 12 / ((1-2q) * ln(p/q)) it is
-    negligible; near-critical q (0.45) needs ~600 steps even for k = 1,
-    well above the 10k/(1-2q) floor.
-    """
+
+def default_step_cap(q: float, k: int) -> int:
+    """Step budget of the race walk at k >= 1: for q < 0.5 the largest of
+    100, _step_floor and the settle term 12 / ((1-2q) ln(p/q)), for
+    q >= 0.5 the larger of 10,000 and 100 k.  The estimate runs low by the
+    first-passage mass beyond the cap C, which decays like (4pq)^(C/2)
+    C^(-3/2) (Feller, vol. 1, ch. XIV): 3.2 to 4 times slower in the
+    exponent than the (q/p)^((1-2q)C) the settle term assumes, at q from
+    0.05 to 0.45.  On criterion 3's cells that mass is at most 0.0022 sigma
+    of a million-trial estimate for q <= 0.3, but 0.41 sigma (k = 8, cap
+    801) to 1.30 sigma (k = 6, cap 601) at q = 0.45 (0.45 sigma at k = 1)."""
     if k == 0:
         return 1
-    if q <= 0.0:
-        return max(100, 10 * k)
-    if q < 0.5:
-        drift = 1.0 - 2.0 * q
-        settle = 12.0 / (drift * math.log((1.0 - q) / q))
-        return max(100, math.ceil(10.0 * k / drift), math.ceil(settle))
-    return max(10_000, 100 * k)
+    if q >= 0.5:
+        return max(10_000, 100 * k)
+    settle = 12.0 / ((1.0 - 2.0 * q) * math.log((1.0 - q) / q)) if q > 0 else 0.0
+    return max(100, _step_floor(q, k), math.ceil(settle))
 
 
 _BATCH = 1 << 16
@@ -310,7 +316,8 @@ _K_MAX = int(np.iinfo(np.int32).max) - _SLAB
 # A slab's steps are packed 8 to a byte, first step in the high bit, a set
 # bit for a down-step (-1) and a clear bit for an up-step (+1).  For every
 # byte value, _NET is the net move of its 8 steps and _LOW the lowest of
-# their 8 partial sums.
+# their 8 partial sums.  A short last byte is padded with clear bits, up-steps
+# that cannot lower the minimum; the position is corrected by their count.
 _PATHS = np.cumsum(
     1 - 2 * np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).astype(np.int8),
     axis=1, dtype=np.int8)
@@ -322,55 +329,28 @@ def race_monte_carlo(q: float, k: int, trials: int, seed: int,
                      step_cap: Optional[int] = None) -> float:
     """Brute-force the catch-up race: a deficit starts at k and steps -1
     with probability q (attacker block) or +1 with probability 1-q, until
-    it hits 0 (success) or the step budget runs out (failure).
+    it hits 0 (success) or `step_cap` steps (default_step_cap by default)
+    run out (failure).  Every input is checked before any walk.
 
-    Runs in batches whose RNG streams derive deterministically from
-    (seed, batch index), so results are reproducible bit for bit and
-    independent of any execution schedule.  The batches run on one thread
-    per usable CPU (at most one per batch), the calling thread included:
-    worker w takes batches w, w + W, ... and the integer success counts
-    are summed, so the estimate does not depend on the worker count or the
-    schedule.  The draw releases the GIL, so the threads' draws overlap.
-    Every large buffer is allocated once per call on the calling thread,
-    and each worker walks a slab in chunks of ceil(batch / W) walks, so the
-    memory held does not grow with the CPU count (buffers made on the
-    worker threads raised the peak RSS, likely through freed memory kept
-    in each thread's malloc arena).  A worker's exception is raised here
-    once every thread has joined.  Within a batch the walks advance in
-    slabs of up to 64 steps, drawn as one (walks, steps) float32 array; a
-    step is down where its draw is below q.  Each walk's steps are packed
-    8 to a byte, and the bytes are walked in step order through two
-    256-entry tables, the net move of a byte and the lowest partial sum
-    inside it, which give the walk's position and running
-    minimum after every byte.  A short last byte is padded with clear
-    bits, which read as up-steps after the last real step: they raise the
-    position, which is corrected by their count, and cannot lower the
-    minimum.  A walk succeeded in a slab iff its minimum erased the
-    deficit, and a walk whose deficit exceeds its remaining step budget at
-    a slab boundary is failed early, which cannot change any outcome.
+    Batch b of up to _BATCH walks draws from SeedSequence(seed,
+    spawn_key=(b,)); the batches run on one thread per usable CPU (worker w
+    takes batches w, w + W, ...; see the README's race notes), and their
+    success counts are summed as integers, so the estimate is the same bit
+    for bit whatever the worker count.  A worker's exception is raised here
+    once every thread has joined.  The walks advance in slabs of up to
+    _SLAB steps, one float32 draw each (a step is down where its draw is
+    below q), walked 8 steps at a time through _NET and _LOW; a walk
+    succeeded iff its running minimum erased the deficit, and one whose
+    deficit exceeds its remaining budget is failed early: it cannot win.
     """
-    q = finite_number(q, "q")
-    if not 0 <= q < 1:
-        raise ValueError("q must lie in [0, 1)")
-    k = whole_number(k, "k")
-    if k < 0:
-        raise ValueError("k must be a nonnegative integer")
+    q, k = catchup_setting(q, k)
     # the deficit is int32, and one slab can add _SLAB to it
     if k > _K_MAX:
-        raise ValueError(f"k must be at most {_K_MAX}, got {k}")
-    trials = whole_number(trials, "trials")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    seed = whole_number(seed, "seed")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
-    if step_cap is None:
-        step_cap = default_step_cap(q, k)
-    step_cap = whole_number(step_cap, "step_cap")
-    if step_cap < 1:
-        raise ValueError(f"step_cap must be at least 1, got {step_cap}")
-    if q < 0.5 and step_cap < 10.0 * k / (1.0 - 2.0 * q):
-        raise ValueError("step_cap too small: truncation would bias the estimate")
+        raise ValueError(f"k must be at most {_K_MAX}, got {spell(k)}")
+    trials = whole_number(trials, "trials", 1)
+    seed = whole_number(seed, "seed", 0)
+    step_cap = whole_number(default_step_cap(q, k) if step_cap is None else step_cap,
+                            "step_cap", _step_floor(q, k))
     if k == 0:
         return 1.0
     if q == 0.0:
@@ -472,8 +452,12 @@ def trace_reports(trace: SimTrace) -> list[ComparisonReport]:
     return reports
 
 
-REPORT_CSV_FIELDS = tuple(f.name for f in fields(ComparisonReport) if f.name != "warning")
+REPORT_FIELDS = tuple(f.name for f in fields(ComparisonReport) if f.name != "warning")
 
 
-def write_reports_csv(reports: Sequence[ComparisonReport], path) -> None:
-    write_table(path, REPORT_CSV_FIELDS, [[getattr(r, f) for f in REPORT_CSV_FIELDS] for r in reports])
+def write_reports(reports: Sequence[ComparisonReport], path, fmt: str = "csv") -> None:
+    """The comparison table in `fmt` (csv or json): one row per report."""
+    write_table(path, REPORT_FIELDS, [[getattr(r, f) for f in REPORT_FIELDS] for r in reports], fmt)
+
+
+write_reports_csv = write_reports  # the name perfbench calls, for CSV

@@ -40,6 +40,7 @@ import itertools
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, field, fields
 from operator import itemgetter
 from typing import NamedTuple, Optional
@@ -62,6 +63,7 @@ from .chain import (
     median_past_time,
     retarget,
     set_fields,
+    spell,
     validate_timestamp,
     whole_number,
     write_table,
@@ -103,7 +105,7 @@ class MinerSpec:
             skew=finite_number(self.skew, "skew"),
         )
         if not 0 < self.share <= 1:
-            raise ConfigError(f"miner {self.id}: share must be in (0, 1]")
+            raise ConfigError(f"miner {spell(self.id)}: share must be in (0, 1]")
 
     @classmethod
     def from_dict(cls, d: dict) -> "MinerSpec":
@@ -116,7 +118,7 @@ class MinerSpec:
             skew = strategy[FIXED_SKEW]
         else:
             raise ConfigError(f"strategy must be {HONEST!r} or {{{FIXED_SKEW!r}: s}}, "
-                              f"got {strategy!r}")
+                              f"got {spell(strategy)}")
         return cls(d["id"], d["share"], d.get("clock_offset", 0.0), skew)
 
 
@@ -133,7 +135,7 @@ class DelayModel:
     def __post_init__(self):
         if (self.fixed is None) == (self.per_pair is None):
             raise ConfigError(f"delay must be {{'fixed': tau}} or {{'per_pair': matrix}}, "
-                              f"got {self!r}")
+                              f"got {spell(self)}")
         if self.per_pair is None:
             set_fields(self, fixed=finite_number(self.fixed, "delay"))
             values = (self.fixed,)
@@ -175,9 +177,7 @@ class StopRule:
         if (self.blocks is None) == (self.duration is None):
             raise ConfigError("stop rule needs exactly one of blocks/duration")
         if self.blocks is not None:
-            set_fields(self, blocks=whole_number(self.blocks, "stop.blocks"))
-            if self.blocks <= 0:
-                raise ConfigError("stop block count must be positive")
+            set_fields(self, blocks=whole_number(self.blocks, "stop.blocks", 1))
         else:
             set_fields(self, duration=finite_number(self.duration, "stop.duration"))
             if self.duration <= 0:
@@ -248,7 +248,7 @@ class SimConfig:
             raise ConfigError("seed must be a 64-bit unsigned integer")
         if not isinstance(self.retarget_enabled, bool):
             raise ConfigError(
-                f"retarget_enabled must be true or false, got {self.retarget_enabled!r}")
+                f"retarget_enabled must be true or false, got {spell(self.retarget_enabled)}")
         for h, f in self.hashrate_steps:
             if h <= 0 or f <= 0:
                 raise ConfigError("hashrate steps need positive height and factor")
@@ -276,10 +276,14 @@ class SimConfig:
     @classmethod
     def from_json(cls, path) -> "SimConfig":
         with open(path) as fh:
-            try:
-                d = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config is not valid JSON: {exc}") from None
+            text = fh.read()
+        try:
+            d = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config is not valid JSON: {exc}") from None
+        except ValueError:  # json's one other refusal: int() past its digit limit
+            raise ConfigError("config holds an integer literal of more than "
+                              f"{sys.get_int_max_str_digits()} digits") from None
         return cls.from_dict(d)
 
 

@@ -306,6 +306,11 @@ class TestCatchupProbability:
             an.catchup_probability(1.0, 3)
         with pytest.raises(ValueError):
             an.catchup_probability(0.3, -1)
+        # booleans are not numbers, as in race_monte_carlo
+        with pytest.raises(ValueError, match="k must be a number"):
+            an.catchup_probability(0.3, True)
+        with pytest.raises(ValueError, match="q must be a number"):
+            an.catchup_probability(False, 3)
 
 
 class TestInferHashrate:

@@ -150,20 +150,24 @@ class TestRaceCommand:
         assert "  z           = inf\n" in out
 
     @pytest.mark.parametrize("flags, name", [
-        (["--q", "0.3", "--step-cap", "0"], "step-cap"),
-        (["--q", "0.6", "--step-cap", "-5"], "step-cap"),
+        (["--q", "0.3", "--step-cap", "0"], "step_cap"),
+        (["--q", "0.6", "--step-cap", "-5"], "step_cap"),
         (["--q", "0.3", "--seed", "-1"], "seed"),
         (["--q", "0.3", "--k", "-1"], "k"),
         (["--q", "0.3", "--trials", "0"], "trials"),
         # the walk's int32 deficit cannot hold it: refused before any walk
         (["--q", "0.3", "--k", "2147483648", "--trials", "10"], "k must be at most"),
+        (["--q", "1.5"], "q must lie in [0, 1)"),
+        (["--q", "nan"], "q must be a finite number"),
+        (["--q", "0.3", "--step-cap", "74"], "step_cap must be at least 75, got 74"),
     ], ids=["step-cap-zero", "step-cap-negative-majority", "seed-negative", "k-negative",
-            "trials-zero", "k-beyond-int32"])
+            "trials-zero", "k-beyond-int32", "q-beyond-one", "q-nan", "step-cap-below-floor"])
     def test_bad_numbers_exit_one(self, capsys, flags, name):
+        # every refusal is the library's: race_monte_carlo runs before any output
         code, out, err = run_cli(capsys, "race", "--k", "3", "--trials", "1000", *flags)
         assert code == 1
         assert out == ""
-        assert err.startswith(("usage error: ", "error: ")) and err.count("\n") == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert name in err
 
 
@@ -272,6 +276,21 @@ class TestSimulateCommand:
             "tail_frequency", "exponentiality_ks", "exponentiality_lag1"}
         assert list(rows[0]) == ["quantity", "analytic", "empirical", "n", "stderr", "z"]
 
+    def test_reports_json_holds_the_csv_values(self, capsys, tmp_path):
+        for fmt in ("csv", "json"):
+            code, _, _ = run_cli(capsys, "simulate", "--config", "fig2", "--reports",
+                                 "--format", fmt, "--outdir", str(tmp_path))
+            assert code == 0
+        with open(tmp_path / "reports.csv", newline="") as fh:
+            crows = list(csv.DictReader(fh))
+        jrows = strict_json((tmp_path / "reports.json").read_text())
+        assert [list(j) for j in jrows] == [list(c) for c in crows]
+        assert len(crows) == 3
+        for c, j in zip(crows, jrows):
+            assert j["quantity"] == c["quantity"]
+            for key in ("analytic", "empirical", "n", "stderr", "z"):
+                assert j[key] == float(c[key])
+
     def test_reports_retarget_no_exponentiality_verdict(self, capsys, tmp_path):
         # retargeting lies outside the exponential setting: no
         # exponentiality row is printed or written, so no FAIL either
@@ -352,6 +371,19 @@ class TestSimulateCommand:
                                  "--outdir", str(tmp_path / "out"))
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and "must be a finite number" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_unreadable_integer_literal_exits_one(self, capsys, tmp_path):
+        # json refuses a literal past the int-to-str digit limit with a hint
+        # to raise the limit; the config error says what is in the file
+        text = (resources.files("blocktime") / "scenarios" / "baseline.json").read_text()
+        config = tmp_path / "long.json"
+        config.write_text(text.replace('"seed": 1', '"seed": 1' + "0" * 5000))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(config),
+                                 "--outdir", str(tmp_path / "out"))
+        assert (code, out) == (1, "")
+        assert err == "error: config holds an integer literal of more than 4300 digits\n"
+        assert "set_int_max_str_digits" not in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("config, named", [

@@ -189,6 +189,11 @@ class TestRaceMonteCarlo:
         for k in (2**31 - 64, 2**31, 10**400):
             with pytest.raises(ValueError, match=f"k must be at most {2**31 - 65}, got {k}$"):
                 M.race_monte_carlo(0.3, k, 10, seed=1)
+        # past the int-to-str digit limit the message names the type
+        for args, name in [((0.3, 10**5000, 10, 0), "k"), ((0.3, 3, 10, -10**5000), "seed"),
+                           ((0.6, 3, 10, 0, -10**5000), "step_cap")]:
+            with pytest.raises(ValueError, match=f"^{name} must be .*, got <int too large"):
+                M.race_monte_carlo(*args)
         with pytest.raises(ValueError, match="q must be a finite number"):
             M.race_monte_carlo(10**400, 3, 1000, seed=1)
         with pytest.raises(ValueError, match="trials"):
@@ -565,3 +570,41 @@ class TestReportsOutput:
     def test_report_str_mentions_warning(self):
         rep = M.ComparisonReport("x", 0.5, 0.4, 10, 0.1, -1.0, warning="under-powered: demo")
         assert "under-powered" in str(rep)
+
+
+def _hit_within(q, k, steps):
+    """The exact chance that the race walk from deficit k reaches 0 within
+    `steps` steps, by a dynamic program over the deficit: alive[d] is the
+    chance of standing at d >= 1 without having reached 0."""
+    alive = np.zeros(k + steps + 2)
+    alive[k] = 1.0
+    hit = 0.0
+    for _ in range(steps):
+        hit += q * alive[1]
+        alive[1:-1] = q * alive[2:] + (1 - q) * alive[:-2]
+    return hit
+
+
+def test_hit_within_reference_is_the_first_passage_sum():
+    # from k = 1 the walk first reaches 0 at step 2n + 1 with chance
+    # C(2n, n) / (n + 1) q^(n+1) p^n (a Catalan number of paths)
+    q = 0.45
+    direct = sum(math.comb(2 * n, n) / (n + 1) * q ** (n + 1) * (1 - q) ** n for n in range(50))
+    assert _hit_within(q, 1, 100) == pytest.approx(direct, rel=1e-12)
+
+
+def test_default_cap_truncation_bias_as_documented():
+    """The first-passage mass beyond default_step_cap on criterion 3's 40
+    cells, in standard deviations of a million-trial estimate: the figures
+    that default_step_cap's docstring and the README state."""
+    bias = {}
+    for q in (0.05, 0.1, 0.2, 0.3, 0.45):
+        for k in range(1, 9):
+            cf = an.catchup_probability(q, k)
+            tail = cf - _hit_within(q, k, M.default_step_cap(q, k))
+            bias[q, k] = tail / math.sqrt(cf * (1 - cf) / 1_000_000)
+    assert round(max(b for (q, _), b in bias.items() if q <= 0.3), 4) == 0.0022
+    near = {k: bias[0.45, k] for k in range(1, 9)}
+    assert round(near[1], 2) == 0.45
+    assert (min(near, key=near.get), round(min(near.values()), 2)) == (8, 0.41)
+    assert (max(near, key=near.get), round(max(near.values()), 2)) == (6, 1.30)

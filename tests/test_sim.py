@@ -41,6 +41,15 @@ def cfg(**overrides):
 
 
 HUGE = 10**400  # a JSON integer beyond the float range
+UNPRINTABLE = 10**5000  # past Python's int-to-str digit limit: its repr raises
+
+
+def nested(depth):
+    """A list nested `depth` deep; repr raises RecursionError on a deep one."""
+    value = []
+    for _ in range(depth):
+        value = [value]
+    return value
 
 # config overrides that set each number read as a float to HUGE
 HUGE_INT_OVERRIDES = {
@@ -209,6 +218,22 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="must be a finite number"):
             cfg(**overrides)
 
+    @pytest.mark.parametrize("overrides", [
+        {"miners": UNPRINTABLE},
+        {"miners": [{"id": 0, "share": 1.0, "strategy": UNPRINTABLE}]},
+        {"miners": [{"id": UNPRINTABLE, "share": 1.5}]},
+        {"stop": UNPRINTABLE},
+        {"delay": {"fixed": 1.0, "per_pair": [[UNPRINTABLE]]}},
+        {"retarget_enabled": UNPRINTABLE},
+        {"hashrate_steps": [[UNPRINTABLE]]},
+        {"delay": nested(100_000)},
+    ], ids=["miners", "strategy", "miner-id", "stop", "delay", "retarget_enabled",
+            "hashrate-step", "delay-nested-deep"])
+    def test_unprintable_values_are_config_errors(self, overrides):
+        # the message names the value's type instead of failing to print it
+        with pytest.raises(ConfigError, match="<(int|list|DelayModel) too large to print>"):
+            cfg(**overrides)
+
     STEP_REFUSAL = "hashrate steps need positive height and factor"
 
     @pytest.mark.parametrize("build, message", [
@@ -250,7 +275,7 @@ FUZZ_BASE = {
 }
 FUZZ_ATOMS = st.sampled_from([
     None, True, False, "", "x", "honest", math.nan, math.inf, -math.inf, HUGE, -HUGE, 2**64,
-    0, -1, 0.5, 2.5, 1e308, [], [[]], [[0.0, 1.0], [2.0]], [1, 2, 3], {}, {"fixed": 1.0, "x": 2},
+    UNPRINTABLE, 0, -1, 0.5, 2.5, 1e308, [], [[]], [[0.0, 1.0], [2.0]], [1, 2, 3], {}, {"fixed": 1.0, "x": 2},
     {"fixed_skew": "x"}, [{"id": 0}],
 ]).map(copy.deepcopy)  # a later mutation must not edit the shared atom
 
