@@ -131,7 +131,8 @@ def config_object(value, name: str, keys, kind: Optional[str] = None) -> dict:
         raise ConfigError(f"{name} must be a JSON object, got {spell(value)}")
     unknown = set(value) - set(keys)
     if unknown:
-        raise ConfigError(f"unknown {kind or name} keys: {sorted(unknown)}")
+        # sorted by their spelling: keys of mixed types do not compare
+        raise ConfigError(f"unknown {kind or name} keys: {spell(sorted(unknown, key=spell))}")
     return value
 
 

@@ -312,6 +312,7 @@ def default_step_cap(q: float, k: int) -> int:
 
 _BATCH = 1 << 16
 _SLAB = 64
+_PIECE = 1 << 15  # 64-bit outputs per raw draw: bounds its array at 256 KB
 _K_MAX = int(np.iinfo(np.int32).max) - _SLAB
 # A slab's steps are packed 8 to a byte, first step in the high bit, a set
 # bit for a down-step (-1) and a clear bit for an up-step (+1).  For every
@@ -338,10 +339,18 @@ def race_monte_carlo(q: float, k: int, trials: int, seed: int,
     success counts are summed as integers, so the estimate is the same bit
     for bit whatever the worker count.  A worker's exception is raised here
     once every thread has joined.  The walks advance in slabs of up to
-    _SLAB steps, one float32 draw each (a step is down where its draw is
-    below q), walked 8 steps at a time through _NET and _LOW; a walk
+    _SLAB steps, walked 8 steps at a time through _NET and _LOW; a walk
     succeeded iff its running minimum erased the deficit, and one whose
     deficit exceeds its remaining budget is failed early: it cannot win.
+
+    A step is one 32-bit word w of the batch's PCG64 stream, read from
+    each 64-bit output low half first, and it is down where w < limit =
+    ceil(float32(q) 2^24) 2^8.  Generator.random(dtype=float32) turns w
+    into u = (w >> 8) 2^-24 and u < q compares in float32, so this is
+    exactly where that draw is below q: the estimate is the float32
+    draw's, bit for bit.  A fill of odd length leaves the high half of its
+    last output unread; it is carried into the next fill, as the
+    generator's own buffer carries it.
     """
     q, k = catchup_setting(q, k)
     # the deficit is int32, and one slab can add _SLAB to it
@@ -361,8 +370,7 @@ def race_monte_carlo(q: float, k: int, trials: int, seed: int,
     workers = min(cpus, batches)
     rows = -(-min(_BATCH, trials) // workers)
     width = min(_SLAB, step_cap)
-    buffers = [(np.empty(rows * width, dtype=np.float32), np.empty(rows * width, dtype=bool))
-               for _ in range(workers)]
+    downs = [np.empty(rows * width, dtype=bool) for _ in range(workers)]
     counts = [0] * workers
     errors: list = [None] * workers
 
@@ -370,7 +378,7 @@ def race_monte_carlo(q: float, k: int, trials: int, seed: int,
         try:
             for b in range(w, batches, workers):
                 counts[w] += _race_batch(q, k, min(_BATCH, trials - b * _BATCH), seed, b,
-                                         step_cap, rows, *buffers[w])
+                                         step_cap, rows, downs[w])
         except BaseException as exc:  # re-raised on the calling thread
             errors[w] = exc
 
@@ -390,15 +398,34 @@ def race_monte_carlo(q: float, k: int, trials: int, seed: int,
 
 
 def _race_batch(q: float, k: int, size: int, seed: int, index: int, step_cap: int,
-                rows: int, draws: np.ndarray, down: np.ndarray) -> int:
+                rows: int, down: np.ndarray) -> int:
     """Successes among batch `index`'s `size` walks (see race_monte_carlo).
 
     Each slab is drawn and walked `rows` walks at a time through the
-    caller's `draws` and `down` buffers.  The chunks fill in row order from
-    the batch's one generator, and consecutive fills continue its stream,
-    so the draws are those of one whole-slab fill.
+    caller's `down` buffer, in pieces of at most _PIECE raw outputs.  The
+    chunks fill in row order from the batch's one stream, and the carry
+    joins consecutive fills, so the steps are those of one whole-slab fill.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+    bits = np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+    limit = math.ceil(float(np.float32(q)) * 2**24) * 2**8  # up to 2^32: every word is down
+    carry = None
+
+    def fill(out: np.ndarray) -> None:
+        nonlocal carry
+        at = 0
+        if carry is not None:
+            out[0] = carry < limit
+            at, carry = 1, None
+        while at < out.size:
+            n = min(_PIECE, (out.size - at + 1) // 2)
+            # little-endian words put each output's low half first
+            words = bits.random_raw(n).astype("<u8", copy=False).view("<u4")
+            end = min(out.size, at + 2 * n)
+            np.less(words[:end - at], limit, out=out[at:end])
+            if end - at < 2 * n:
+                carry = int(words[-1])
+            at = end
+
     deficit = np.full(size, k, dtype=np.int32)
     successes = 0
     steps_taken = 0
@@ -408,12 +435,12 @@ def _race_batch(q: float, k: int, size: int, seed: int, index: int, step_cap: in
         alive = np.empty(deficit.size, dtype=bool)
         for start in range(0, deficit.size, rows):
             d = deficit[start:start + rows]
-            shape = (d.size, span)
-            u = rng.random(dtype=np.float32, out=draws[:d.size * span].reshape(shape))
+            steps = down[:d.size * span]
+            fill(steps)
             # positions and lows stay within +-_SLAB, so int8 holds them
             pos = np.zeros(d.size, dtype=np.int8)
             low = np.full(d.size, _SLAB, dtype=np.int8)
-            for byte in np.packbits(np.less(u, q, out=down[:d.size * span].reshape(shape)), axis=1).T:
+            for byte in np.packbits(steps.reshape(d.size, span), axis=1).T:
                 np.minimum(low, pos + np.take(_LOW, byte), out=low)
                 pos += np.take(_NET, byte)
             hit = low <= -d

@@ -284,6 +284,8 @@ class SimConfig:
         except ValueError:  # json's one other refusal: int() past its digit limit
             raise ConfigError("config holds an integer literal of more than "
                               f"{sys.get_int_max_str_digits()} digits") from None
+        except RecursionError:  # not a ValueError: the decoder recurses once per level
+            raise ConfigError("config nests arrays or objects too deeply to decode") from None
         return cls.from_dict(d)
 
 

@@ -386,6 +386,16 @@ class TestSimulateCommand:
         assert "set_int_max_str_digits" not in err
         assert not (tmp_path / "out").exists()
 
+    def test_deep_nesting_exits_one(self, capsys, tmp_path):
+        # json.loads raises RecursionError, not a ValueError, past its depth
+        config = tmp_path / "deep.json"
+        config.write_text('{"miners": ' + "[" * 100_000)
+        code, out, err = run_cli(capsys, "simulate", "--config", str(config),
+                                 "--outdir", str(tmp_path / "out"))
+        assert (code, out) == (1, "")
+        assert err == "error: config nests arrays or objects too deeply to decode\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("config, named", [
         (None, None),
         (5, None),

@@ -218,26 +218,73 @@ class TestRaceMonteCarlo:
     @given(q=st.floats(0.01, 0.7), k=st.integers(1, 12), trials=st.integers(1, 3000),
            seed=st.integers(0, 2**64 - 1), extra=st.integers(0, 300),
            batch=st.sampled_from([M._BATCH, 700]), slab=st.sampled_from([M._SLAB, 21]),
-           cpus=st.sampled_from([1, 2, 3, 5]))
-    def test_equals_prefix_sum_reference(self, q, k, trials, seed, extra, batch, slab, cpus):
+           piece=st.sampled_from([M._PIECE, 5]), cpus=st.sampled_from([1, 2, 3, 5]))
+    def test_equals_prefix_sum_reference(self, q, k, trials, seed, extra, batch, slab, piece,
+                                         cpus):
         # A smaller batch splits the trials into several batches; a slab that
         # is not a multiple of 8 pads the last byte of every slab, not only
-        # of the final one, so the pad correction shows in the deficit.  The
-        # CPU count sets the workers: several batches per worker, more
-        # workers than batches or cores, and slabs walked in short row
-        # chunks; a short switch interval interleaves the threads densely.
+        # of the final one, so the pad correction shows in the deficit.  A
+        # small piece makes every fill cross piece boundaries.  The CPU
+        # count sets the workers: several batches per worker, more workers
+        # than batches or cores, and slabs walked in short row chunks; a
+        # short switch interval interleaves the threads densely.
         floor = math.ceil(10.0 * k / (1.0 - 2.0 * q)) if q < 0.5 else 1
         step_cap = max(floor, min(300, floor + extra))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             with mock.patch.object(M, "_BATCH", batch), mock.patch.object(M, "_SLAB", slab), \
+                    mock.patch.object(M, "_PIECE", piece), \
                     mock.patch.object(M.os, "sched_getaffinity", lambda pid: set(range(cpus)),
                                       create=True):
                 assert M.race_monte_carlo(q, k, trials, seed, step_cap) == \
                     _race_prefix_sum_reference(q, k, trials, seed, step_cap)
         finally:
             sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("q, k, estimate", [
+        (0.1, 2, None),  # float32(q) lies above q
+        (0.3, 3, None),  # likewise
+        (1 - 2**-26, 3, 1.0),  # float32(q) is 1.0: every word lies below the limit 2**32
+        (1e-46, 2, 0.0),  # float32(q) is 0: no word lies below the limit 0
+    ])
+    def test_float32_edges_equal_prefix_sum_reference(self, monkeypatch, q, k, estimate):
+        # The reference compares float32 draws with q; the walk compares raw
+        # words with an integer limit.  Batches of 699 walks on 3 workers
+        # fill 233 rows at a time, and slabs of 21 steps leave a last span
+        # of 1 of the cap 106, so many fills have an odd length and carry a
+        # half-word into the next; pieces of 5 outputs split every fill.
+        monkeypatch.setattr(M, "_BATCH", 699)
+        monkeypatch.setattr(M, "_SLAB", 21)
+        monkeypatch.setattr(M, "_PIECE", 5)
+        monkeypatch.setattr(M.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        got = M.race_monte_carlo(q, k, 1501, 11, 106)
+        assert got == _race_prefix_sum_reference(q, k, 1501, 11, 106)
+        if estimate is not None:
+            assert got == estimate
+
+    def test_step_is_down_exactly_below_float32_q(self):
+        # One walk from deficit 1: its first step is down, and the walk wins
+        # at once, exactly when batch 0's first float32 draw u lies below
+        # float32(q).  At seed 0, u >= 0.5 and a cap of 1 step isolates that
+        # step: a q just above u rounds down onto u in float32, so the step
+        # is up, where a limit taken from q itself would call it down.  At
+        # seed 7, u < 0.5, where float32 spacing is half the draw grid's:
+        # q = u + 2^-25 lies between grid points, so the limit must round
+        # float32(q) 2^24 up to call that step down (at q = u the walk
+        # never wins in its 26 steps).
+        def first_draw(seed):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
+            return float(rng.random(dtype=np.float32))
+        u = first_draw(0)
+        assert 0.5 <= u < 1 - 2**-24
+        for q, estimate in [(u, 0.0), (float(np.nextafter(u, 1.0)), 0.0), (u + 2**-24, 1.0)]:
+            assert M.race_monte_carlo(q, 1, 1, 0, 1) == estimate
+        u = first_draw(7)
+        assert 0.25 <= u < 0.5
+        for q, estimate in [(u, 0.0), (u + 2**-25, 1.0)]:
+            assert M.race_monte_carlo(q, 1, 1, 7, 26) == estimate == \
+                _race_prefix_sum_reference(q, 1, 1, 7, 26)
 
     def test_cpu_count_without_affinity(self, monkeypatch):
         # Without sched_getaffinity the worker count comes from os.cpu_count.

@@ -86,6 +86,9 @@ class TestConfigValidation:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError):
             cfg(bogus=True)
+        # keys of mixed types do not compare with each other; both are named
+        with pytest.raises(ConfigError, match=r"^unknown config keys: \['x', 1\]$"):
+            SimConfig.from_dict({"miners": [], 1: 2, "x": 3})
 
     def test_delay_matrix_shape(self):
         with pytest.raises(ConfigError):
@@ -719,6 +722,11 @@ class TestScenariosAndExports:
         missing.write_text(json.dumps({"miners": [{"id": 0, "share": 1.0}]}))
         with pytest.raises(ConfigError):
             SimConfig.from_json(missing)
+        # the decoder recurses once per nesting level: too deep is bad input
+        deep = tmp_path / "deep.json"
+        deep.write_text('{"miners": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        with pytest.raises(ConfigError, match="^config nests arrays or objects too deeply"):
+            SimConfig.from_json(deep)
 
 
 def test_tip_history_blocks_all_known():
