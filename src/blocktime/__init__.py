@@ -53,6 +53,8 @@ from .sim import (
     SimConfig,
     SimTrace,
     StopRule,
+    TipEvent,
+    TipEvents,
     run,
 )
 

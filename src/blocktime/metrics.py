@@ -14,6 +14,7 @@ comparator raises OutsideSetting (trace outside its setting, or too short).
 import math
 import os
 import threading
+from collections import Counter
 from contextlib import suppress
 from dataclasses import dataclass, fields
 from typing import Optional, Sequence
@@ -455,10 +456,8 @@ def _race_batch(q: float, k: int, size: int, seed: int, index: int, step_cap: in
 def reorg_depth_histogram(trace: SimTrace) -> dict[int, int]:
     """Tip-change counts keyed by reorg depth; plain extensions (depth 0)
     are excluded."""
-    hist: dict[int, int] = {}
-    for e in trace.tip_events:
-        if e.reorg_depth >= 1:
-            hist[e.reorg_depth] = hist.get(e.reorg_depth, 0) + 1
+    hist = Counter(trace.tip_events.reorg_depth)
+    hist.pop(0, None)
     return dict(sorted(hist.items()))
 
 

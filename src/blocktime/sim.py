@@ -41,9 +41,10 @@ import json
 import math
 import os
 import sys
+from array import array
 from dataclasses import dataclass, field, fields
 from operator import itemgetter
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -296,6 +297,43 @@ class TipEvent(NamedTuple):
     reorg_depth: int
 
 
+class TipEvents:
+    """Every per-node tip change of a run, in the order the engine made
+    them, kept as four typed columns named by TipEvent's fields: time
+    (float64), node (int32), new_tip (int64) and reorg_depth (int32).  That
+    is 24 B an event, where a TipEvent tuple and the float it kept alive
+    took about 104.  To its readers it is a sequence of rows: len() counts
+    the events and iteration yields TipEvent rows with the same Python types
+    (float, int, int, int).  A reader of one field reads its column."""
+
+    __slots__ = TipEvent._fields
+
+    def __init__(self):
+        for name, code in zip(self.__slots__, "diqi"):
+            setattr(self, name, array(code))
+
+    def append(self, time: float, node: int, new_tip: int, reorg_depth: int) -> None:
+        self.time.append(time)
+        self.node.append(node)
+        self.new_tip.append(new_tip)
+        self.reorg_depth.append(reorg_depth)
+
+    def columns(self) -> tuple[array, ...]:
+        """The four columns, in TipEvent's field order."""
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __len__(self) -> int:
+        return len(self.time)
+
+    def __iter__(self) -> Iterator[TipEvent]:
+        return map(TipEvent, *self.columns())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TipEvents):
+            return NotImplemented
+        return self.columns() == other.columns()
+
+
 class Rejection(NamedTuple):
     time: float
     node: int
@@ -327,8 +365,9 @@ class SimTrace:
     blocks is indexed by block id and includes stale blocks; each block's
     fields are its row of the blocks table, cumulative work included;
     tip_events records every per-node tip change (reorg_depth 0 = plain
-    extension); difficulty_history records each retarget as (boundary
-    height, new difficulty for the following window).  The canonical chain
+    extension) as TipEvents columns, which iterate as TipEvent rows;
+    difficulty_history records each retarget as (boundary height, new
+    difficulty for the following window).  The canonical chain
     is node 0's: the path from genesis to its final tip.  fork_episodes and
     warnings (the clock advisories) are derived from those when it is built.
     The fork table takes one pass over the blocks: each parent's first kid
@@ -339,7 +378,7 @@ class SimTrace:
 
     config: SimConfig
     blocks: list[Block]
-    tip_events: list[TipEvent]
+    tip_events: TipEvents
     difficulty_history: list[tuple[int, float]]
     rejections: list[Rejection]
     final_tips: list[int]
@@ -395,7 +434,7 @@ class SimTrace:
         return np.diff(found)
 
     def max_reorg_depth(self) -> int:
-        return max((e.reorg_depth for e in self.tip_events), default=0)
+        return max(self.tip_events.reorg_depth, default=0)
 
     def summary(self) -> dict:
         return {
@@ -421,7 +460,7 @@ class SimTrace:
         os.makedirs(outdir, exist_ok=True)
         tables = {
             "blocks": (BLOCK_CSV_FIELDS, map(block_row, self.blocks)),
-            "tip_changes": (TipEvent._fields, self.tip_events),
+            "tip_changes": (TipEvent._fields, zip(*self.tip_events.columns())),
             "forks": (
                 ForkEpisode._fields,
                 [(f.window_start, "|".join(map(str, f.blocks)), f.winner)
@@ -477,7 +516,7 @@ class _Engine:
         # retargeted difficulty per stored boundary block, in id order: the
         # trace's difficulty_history is read from it
         self.next_diff: dict[int, float] = {}
-        self.tip_events: list[TipEvent] = []
+        self.tip_events = TipEvents()
         self.rejections: list[Rejection] = []
 
     # ---- difficulty and rates -------------------------------------------
@@ -560,7 +599,7 @@ class _Engine:
         bid = block.id
         depth = node.accept(bid)
         if depth is not None:
-            self.tip_events.append(TipEvent(now, miner_idx, bid, depth))
+            self.tip_events.append(now, miner_idx, bid, depth)
             self.tip_moved(miner_idx, now)
 
         heap, seq, push, deliver = self.heap, self.seq, heapq.heappush, self.handle_deliver
@@ -588,7 +627,7 @@ class _Engine:
                 continue
             depth = node.accept(b.id)
             if depth is not None:
-                self.tip_events.append(TipEvent(now, node_idx, b.id, depth))
+                self.tip_events.append(now, node_idx, b.id, depth)
                 moved = True
             if pending:
                 parked = pending.pop(b.id, None)

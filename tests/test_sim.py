@@ -1,6 +1,7 @@
 """Tests for the discrete-event simulator."""
 
 import copy
+import csv
 import dataclasses
 import gc
 import json
@@ -19,7 +20,7 @@ from blocktime import sim
 from blocktime.chain import (BLOCK_CSV_FIELDS, Block, ChainStore, ConsensusRules, block_row,
                              make_genesis, retarget)
 from blocktime.sim import (CLOCK_WARN_OFFSET, ConfigError, DelayModel, ForkEpisode, MinerSpec,
-                           SimConfig, SimTrace, StopRule, run)
+                           SimConfig, SimTrace, StopRule, TipEvents, run)
 from test_golden import INLINE_CONFIG
 
 H600 = 2**32 / 600  # hash rate putting difficulty-1 arrivals at 1/600 per second
@@ -495,7 +496,7 @@ class TestForkTable:
             parent = blocks[p]
             blocks.append(Block(i, p, parent.height + 1, 0, 10 * i, 1.0,
                                 parent.cumulative_work + 1.0, 10.0 * i))
-        return SimTrace(config=cfg(), blocks=blocks, tip_events=[],
+        return SimTrace(config=cfg(), blocks=blocks, tip_events=TipEvents(),
                         difficulty_history=[(0, 1.0)], rejections=[], final_tips=[final_tip])
 
     @pytest.mark.parametrize("parents, final_tip, episodes, csv_text", [
@@ -532,6 +533,26 @@ class TestForkTable:
             assert_fork_table(trace)
 
 
+def test_tip_events_row_view(forkrate_2k, tmp_path):
+    """Tip events read as rows, as the benchmark's trace digest reads them:
+    len() counts the exported rows, and each row is (time, node, new_tip,
+    reorg_depth) typed float, int, int, int, by position and by name."""
+    events = forkrate_2k.tip_events
+    forkrate_2k.write_csvs(tmp_path)
+    forkrate_2k.write_csvs(tmp_path, "json")
+    with open(tmp_path / "tip_changes.csv", newline="") as fh:
+        header, *csv_rows = csv.reader(fh)
+    assert header == list(sim.TipEvent._fields)
+    assert len(events) == len(csv_rows) > 2000
+    rows = [list(e) for e in events]
+    decoded = [list(r.values()) for r in json.loads((tmp_path / "tip_changes.json").read_text())]
+    assert rows == decoded
+    for row in (*rows, *decoded):
+        assert list(map(type, row)) == [float, int, int, int]
+    assert [[e.time, e.node, e.new_tip, e.reorg_depth] for e in events] == rows
+    assert max(r[3] for r in rows) == forkrate_2k.max_reorg_depth() >= 1
+
+
 class TestMemoryPerBlock:
     """A run keeps every block, so what it needs per block sets its peak."""
 
@@ -548,6 +569,23 @@ class TestMemoryPerBlock:
             tracemalloc.stop()
         assert rebuilt == forkrate_2k
         assert (peak - start) / len(forkrate_2k.blocks) < 64
+
+    def test_tip_events_are_columns(self):
+        # four typed columns hold 24.5 B an event (the arrays' slack
+        # included); a list of TipEvent tuples holds 144 here, with the
+        # fresh float and int each tuple keeps alive
+        n = 100_000
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            events = TipEvents()
+            for i in range(n):
+                events.append(i * 0.5 + 0.25, i % 32, 10**6 + i, i % 3)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(events) == n
+        assert (held - start) / n <= 32
 
     def test_block_is_slotted(self):
         block = make_genesis(1.0)
