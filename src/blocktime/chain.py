@@ -21,6 +21,7 @@ interval is set per run, through ConsensusRules.
 """
 
 import csv
+import itertools
 import json
 import math
 import numbers
@@ -339,74 +340,71 @@ block_row = operator.attrgetter(*BLOCK_CSV_FIELDS)
 
 
 _encode_str = json.encoder.encode_basestring_ascii
-_NONFINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
-
-
-def _json_float(v: float) -> str:
-    r = float.__repr__(v)
-    return _NONFINITE.get(r, r)
-
-
-def _json_other(v) -> str:
-    if isinstance(v, (list, tuple, dict)):
-        raise TypeError(f"table cells must be scalars, got {type(v).__name__}")
-    return json.dumps(v)
-
-
-# cell spelling by exact type; anything else goes through _json_other
-_JSON_CELL = {
-    int: int.__repr__,
-    float: _json_float,
-    str: _encode_str,
-    type(None): lambda v: "null",
-}
+# a flat list of cells, one per line: `ensure_ascii` escapes every newline
+_encode_cells = json.JSONEncoder(separators=("\n", ":")).encode
+# rows per encode call and write: the chunk's cells and text stay small
+_CHUNK = 512
 
 
 def _json_row_template(fields: Sequence[str]) -> str:
-    if len(set(fields)) != len(fields):
-        raise ValueError(f"duplicate field names in {list(fields)!r}")
     if not fields:
         return " {}"
     items = ",\n".join(f"  {_encode_str(f).replace('%', '%%')}: %s" for f in fields)
     return f" {{\n{items}\n }}"
 
 
-def write_table(path, fields: Sequence[str], rows: Iterable, fmt: str = "csv") -> None:
-    """Write typed rows (ints, floats, strings, None) under `fields`.
+def _chunks(rows: Iterable, n: int):
+    """The rows in lists of up to _CHUNK, each checked to hold `n` cells a row."""
+    it = iter(rows)
+    while chunk := list(itertools.islice(it, _CHUNK)):
+        if (lengths := set(map(len, chunk))) != {n}:
+            raise ValueError(f"row of {max(lengths - {n})} cells under {n} fields")
+        yield chunk
 
-    fmt "csv" writes a header row and LF line endings.  fmt "json" writes
-    the bytes `json.dump([dict(zip(fields, row)) ...], fh, indent=1)` plus a
+
+def _json_chunk(template: str, chunk: list) -> str:
+    cells = list(itertools.chain.from_iterable(chunk))
+    for t in set(map(type, cells)):
+        if issubclass(t, (list, tuple, dict)):
+            raise TypeError(f"table cells must be scalars, got {t.__name__}")
+    spelled = _encode_cells(cells)[1:-1].split("\n") if cells else ()
+    return ",\n".join([template] * len(chunk)) % tuple(spelled)
+
+
+def write_table(path, fields: Sequence[str], rows: Iterable, fmt: str = "csv") -> None:
+    """Write rows of typed cells (ints, floats, strings, None) under `fields`.
+
+    fmt "csv" writes a header row and LF line endings; a cell that is not a
+    number, string or None is spelled by `str()`.  fmt "json" writes the
+    bytes `json.dump([dict(zip(fields, row)) ...], fh, indent=1)` plus a
     final newline would, without that encoder: one row template per table
     (`' {\\n  "id": %s,\\n  "parent": %s, ...\\n }'`, keys spelled by
-    `encode_basestring_ascii`, `' {}'` for no fields) is filled per row and
-    the array is streamed to the file row by row, so the table's text is
-    never held whole.  Each cell is spelled by its own type: an exact int or
-    float by its repr (non-finite floats as `Infinity`, `-Infinity`, `NaN`,
-    as `json` spells them), an exact str by `encode_basestring_ascii`, None
-    as null, and any other scalar (bool, an int or float subclass) by
-    `json.dumps`, which raises TypeError for types JSON cannot hold.  A
-    list, tuple or dict cell raises TypeError.  Duplicate field names raise
-    ValueError before the file is opened; a row whose length differs from
-    `fields` raises ValueError when it is reached, leaving the file cut
-    short.  Both formats print floats as their shortest round-trip repr;
-    None is an empty CSV cell and JSON null.
+    `encode_basestring_ascii`, `' {}'` for no fields) is filled for _CHUNK
+    rows at a time, whose cells json's C encoder spells in one call as
+    `json.dumps` would: non-finite floats as `Infinity`, `-Infinity`, `NaN`,
+    and a type JSON cannot hold, or a list, tuple or dict, raises TypeError.
+    So the table's text is never held whole.  Duplicate field names raise
+    ValueError before the file is opened.  A row whose length differs from
+    `fields` (in either format), or a JSON cell that raises, raises when
+    its chunk is reached, so the file holds only the whole chunks before
+    it.  Both formats print floats as their shortest round-trip repr; None
+    is an empty CSV cell and JSON null.
     """
+    if len(set(fields)) != len(fields):
+        raise ValueError(f"duplicate field names in {list(fields)!r}")
+    chunks = _chunks(rows, len(fields))
     if fmt == "csv":
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh, lineterminator="\n")
             w.writerow(fields)
-            w.writerows(rows)
+            for chunk in chunks:
+                w.writerows(chunk)
     elif fmt == "json":
         template = _json_row_template(fields)
-        n = len(fields)
-        cell, other = _JSON_CELL.get, _json_other
         with open(path, "w") as fh:
             sep = "[\n"
-            for row in rows:
-                cells = tuple([cell(type(v), other)(v) for v in row])
-                if len(cells) != n:
-                    raise ValueError(f"row of {len(cells)} cells under {n} fields")
-                fh.write(sep + template % cells)
+            for chunk in chunks:
+                fh.write(sep + _json_chunk(template, chunk))
                 sep = ",\n"
             fh.write("[]\n" if sep == "[\n" else "\n]\n")
     else:
