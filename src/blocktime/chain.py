@@ -344,6 +344,8 @@ _encode_str = json.encoder.encode_basestring_ascii
 _encode_cells = json.JSONEncoder(separators=("\n", ":")).encode
 # rows per encode call and write: the chunk's cells and text stay small
 _CHUNK = 512
+# cell types `%s` spells as csv.writer does, none of them quoted
+_PLAIN_CELLS = {int, float, bool}
 
 
 def _json_row_template(fields: Sequence[str]) -> str:
@@ -374,16 +376,26 @@ def _json_chunk(template: str, chunk: list) -> str:
 def write_table(path, fields: Sequence[str], rows: Iterable, fmt: str = "csv") -> None:
     """Write rows of typed cells (ints, floats, strings, None) under `fields`.
 
-    fmt "csv" writes a header row and LF line endings; a cell that is not a
-    number, string or None is spelled by `str()`.  fmt "json" writes the
-    bytes `json.dump([dict(zip(fields, row)) ...], fh, indent=1)` plus a
-    final newline would, without that encoder: one row template per table
-    (`' {\\n  "id": %s,\\n  "parent": %s, ...\\n }'`, keys spelled by
-    `encode_basestring_ascii`, `' {}'` for no fields) is filled for _CHUNK
-    rows at a time, whose cells json's C encoder spells in one call as
-    `json.dumps` would: non-finite floats as `Infinity`, `-Infinity`, `NaN`,
-    and a type JSON cannot hold, or a list, tuple or dict, raises TypeError.
-    So the table's text is never held whole.  Duplicate field names raise
+    fmt "csv" writes the bytes one `csv.writer(fh, lineterminator="\\n")`
+    writes for the header row and then every row.  A chunk of _CHUNK rows
+    whose cells are all exact ints, floats and bools is filled into
+    `"%s,%s,...\\n"`, repeated once per row, with one `%`: `%s` spells such
+    a cell as csv does (`str`, which is `repr` for a float, `nan`, `inf`
+    and `-0.0` included), and no such spelling needs quoting.  Any other
+    chunk goes to that writer: None, which csv writes empty, and strings
+    and subclasses (np.float64, an IntEnum), whose `str` may need quoting,
+    so quoting is always csv's.
+
+    fmt "json" writes the bytes `json.dump([dict(zip(fields, row)) ...],
+    fh, indent=1)` plus a final newline would, without that encoder: one
+    row template per table (`' {\\n  "id": %s,\\n  "parent": %s, ...\\n }'`,
+    keys spelled by `encode_basestring_ascii`, `' {}'` for no fields) is
+    filled for _CHUNK rows at a time, whose cells json's C encoder spells
+    in one call as `json.dumps` would: non-finite floats as `Infinity`,
+    `-Infinity`, `NaN`, and a type JSON cannot hold, or a list, tuple or
+    dict, raises TypeError.
+
+    So neither format holds a table's text whole.  Duplicate field names raise
     ValueError before the file is opened.  A row whose length differs from
     `fields` (in either format), or a JSON cell that raises, raises when
     its chunk is reached, so the file holds only the whole chunks before
@@ -394,11 +406,16 @@ def write_table(path, fields: Sequence[str], rows: Iterable, fmt: str = "csv") -
         raise ValueError(f"duplicate field names in {list(fields)!r}")
     chunks = _chunks(rows, len(fields))
     if fmt == "csv":
+        template = ",".join(["%s"] * len(fields)) + "\n"
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh, lineterminator="\n")
             w.writerow(fields)
             for chunk in chunks:
-                w.writerows(chunk)
+                cells = tuple(itertools.chain.from_iterable(chunk))
+                if set(map(type, cells)) <= _PLAIN_CELLS:
+                    fh.write(template * len(chunk) % cells)
+                else:
+                    w.writerows(chunk)
     elif fmt == "json":
         template = _json_row_template(fields)
         with open(path, "w") as fh:

@@ -538,6 +538,35 @@ class TestWriteTableJson:
             write_table(d / "new.json", fields, rows, "json")
         assert (d / "new.json").read_bytes() == (d / "ref.json").read_bytes()
 
+    # chunks of 1 to 3 rows mix chunks of plain numbers, filled by `%`, with
+    # chunks that csv.writer writes
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(table=_tables(), chunk=st.sampled_from([C._CHUNK, 1, 2, 3]))
+    @example(table=(["a", "b"], [[1, 2.5], [3, 4], [None, 5], [6, 7.0], [8, True]]), chunk=2)
+    @example(table=(["a"], [[None], [""], [None], [""]]), chunk=C._CHUNK)
+    @example(table=([], [[], [], []]), chunk=2)
+    @example(table=([], []), chunk=C._CHUNK)
+    @example(table=(["a", "b"], [[math.nan, -0.0], [math.inf, -math.inf], [5e-324, 2**70]]),
+             chunk=C._CHUNK)
+    @example(table=(["a"], [[1], ["\ud800"]]), chunk=1)
+    def test_same_bytes_as_csv_writer(self, tmp_path_factory, table, chunk):
+        fields, rows = table
+        d = tmp_path_factory.mktemp("csv")
+        try:
+            with open(d / "ref.csv", "w", newline="") as fh:
+                w = csv.writer(fh, lineterminator="\n")
+                w.writerow(fields)
+                w.writerows(rows)
+        except UnicodeEncodeError:
+            # text the file's encoding cannot spell (a lone surrogate): both
+            # writers refuse it
+            with mock.patch.object(C, "_CHUNK", chunk), pytest.raises(UnicodeEncodeError):
+                write_table(d / "new.csv", fields, rows, "csv")
+            return
+        with mock.patch.object(C, "_CHUNK", chunk):
+            write_table(d / "new.csv", fields, rows, "csv")
+        assert (d / "new.csv").read_bytes() == (d / "ref.csv").read_bytes()
+
     # an empty dict subclass would spell as one token, `{}`, so it is
     # refused by type, not by the count of spelled cells
     @pytest.mark.parametrize("cell", [np.int64(3), (1, 2), OrderedDict()],
@@ -572,20 +601,24 @@ class TestWriteTableJson:
         first = (tmp_path / f"first.{fmt}").read_text()
         assert (tmp_path / f"t.{fmt}").read_text() == (first[:-3] if fmt == "json" else first)
 
-    def test_chunk_transient_stays_small(self, tmp_path):
-        # 100,000 tip-event-like rows with 17-digit float times: the
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_chunk_transient_stays_small(self, tmp_path, fmt):
+        # 100,000 tip-event-like rows with 17-digit float times: the JSON
         # writer's traced peak is 0.23 MB with 512-row chunks and 1.75 MB
-        # with 4,096-row chunks, which raised forkrate_export peak RSS 6%
+        # with 4,096-row chunks, which raised forkrate_export peak RSS 6%;
+        # the CSV `%` fill holds one chunk's cells and text at a time
         rows = [((i + 1) / 7, i % 32, 10**6 + i, i % 3) for i in range(100_000)]
+        path = tmp_path / f"t.{fmt}"
         tracemalloc.start()
         try:
             start, _ = tracemalloc.get_traced_memory()
-            write_table(tmp_path / "t.json", ("time", "node", "new_tip", "reorg_depth"), rows,
-                        "json")
+            write_table(path, ("time", "node", "new_tip", "reorg_depth"), rows, fmt)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(json.loads((tmp_path / "t.json").read_text())) == len(rows)
+        text = path.read_text()
+        n = len(json.loads(text)) if fmt == "json" else text.count("\n") - 1
+        assert n == len(rows)
         assert peak - start < 1_000_000
 
     def test_unknown_format_raises_value_error(self, tmp_path):
