@@ -198,8 +198,9 @@ def multi_discovery_window_rate(trace: SimTrace) -> ComparisonReport:
     times = np.array([b.found_at for b in trace.blocks[1:]])
     nwin = int(times.max() // tau) if times.size else 0
     _require(nwin >= 1, "trace too short to tile even one window")
-    counts = np.bincount((times[times < nwin * tau] // tau).astype(int), minlength=nwin)
-    empirical = float(np.mean(counts >= 2))
+    # only occupied windows are counted, so memory follows the blocks, not nwin
+    _, counts = np.unique(times[times < nwin * tau] // tau, return_counts=True)
+    empirical = int(np.count_nonzero(counts >= 2)) / nwin
     return binomial_report("multi_discovery_window_rate",
                            fork_probability(_nominal_rate(trace.config), tau), empirical, nwin)
 
@@ -313,7 +314,7 @@ def default_step_cap(q: float, k: int) -> int:
 
 _BATCH = 1 << 16
 _SLAB = 64
-_PIECE = 1 << 15  # 64-bit outputs per raw draw: bounds its array at 256 KB
+_PIECE = 1 << 10  # walks per raw draw: up to 1,024 x _SLAB words, 256 KB
 _K_MAX = int(np.iinfo(np.int32).max) - _SLAB
 # A slab's steps are packed 8 to a byte, first step in the high bit, a set
 # bit for a down-step (-1) and a clear bit for an up-step (+1).  For every
@@ -338,11 +339,13 @@ def race_monte_carlo(q: float, k: int, trials: int, seed: int,
     spawn_key=(b,)); the batches run on one thread per usable CPU (worker w
     takes batches w, w + W, ...; see the README's race notes), and their
     success counts are summed as integers, so the estimate is the same bit
-    for bit whatever the worker count.  A worker's exception is raised here
-    once every thread has joined.  The walks advance in slabs of up to
-    _SLAB steps, walked 8 steps at a time through _NET and _LOW; a walk
-    succeeded iff its running minimum erased the deficit, and one whose
-    deficit exceeds its remaining budget is failed early: it cannot win.
+    for bit whatever the worker count.  A worker holds one batch's working
+    set at a time, so memory grows with the worker count.  A worker's
+    exception is raised here once every thread has joined.  The walks
+    advance in slabs of up to _SLAB steps, walked 8 steps at a time
+    through _NET and _LOW; a walk succeeded iff its running minimum erased
+    the deficit, and one whose deficit exceeds its remaining budget is
+    failed early: it cannot win.
 
     A step is one 32-bit word w of the batch's PCG64 stream, read from
     each 64-bit output low half first, and it is down where w < limit =
@@ -369,9 +372,6 @@ def race_monte_carlo(q: float, k: int, trials: int, seed: int,
     batches = -(-trials // _BATCH)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(cpus, batches)
-    rows = -(-min(_BATCH, trials) // workers)
-    width = min(_SLAB, step_cap)
-    downs = [np.empty(rows * width, dtype=bool) for _ in range(workers)]
     counts = [0] * workers
     errors: list = [None] * workers
 
@@ -379,7 +379,7 @@ def race_monte_carlo(q: float, k: int, trials: int, seed: int,
         try:
             for b in range(w, batches, workers):
                 counts[w] += _race_batch(q, k, min(_BATCH, trials - b * _BATCH), seed, b,
-                                         step_cap, rows, downs[w])
+                                         step_cap)
         except BaseException as exc:  # re-raised on the calling thread
             errors[w] = exc
 
@@ -398,34 +398,30 @@ def race_monte_carlo(q: float, k: int, trials: int, seed: int,
     return sum(counts) / trials
 
 
-def _race_batch(q: float, k: int, size: int, seed: int, index: int, step_cap: int,
-                rows: int, down: np.ndarray) -> int:
+def _race_batch(q: float, k: int, size: int, seed: int, index: int, step_cap: int) -> int:
     """Successes among batch `index`'s `size` walks (see race_monte_carlo).
 
-    Each slab is drawn and walked `rows` walks at a time through the
-    caller's `down` buffer, in pieces of at most _PIECE raw outputs.  The
-    chunks fill in row order from the batch's one stream, and the carry
-    joins consecutive fills, so the steps are those of one whole-slab fill.
+    Each slab's steps are drawn in pieces of _PIECE walks, one raw draw
+    each, and packed into one (walks, bytes) array that is then walked
+    once.  The pieces fill in walk order from the batch's one stream, and
+    the carry joins consecutive fills, so the steps are those of one
+    whole-slab fill.
     """
     bits = np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
     limit = math.ceil(float(np.float32(q)) * 2**24) * 2**8  # up to 2^32: every word is down
     carry = None
 
-    def fill(out: np.ndarray) -> None:
+    def fill(n: int) -> np.ndarray:
         nonlocal carry
-        at = 0
-        if carry is not None:
-            out[0] = carry < limit
-            at, carry = 1, None
-        while at < out.size:
-            n = min(_PIECE, (out.size - at + 1) // 2)
-            # little-endian words put each output's low half first
-            words = bits.random_raw(n).astype("<u8", copy=False).view("<u4")
-            end = min(out.size, at + 2 * n)
-            np.less(words[:end - at], limit, out=out[at:end])
-            if end - at < 2 * n:
-                carry = int(words[-1])
-            at = end
+        down = np.empty(n, dtype=bool)
+        head = 0 if carry is None else 1
+        if head:
+            down[0] = carry < limit
+        # little-endian words put each output's low half first
+        words = bits.random_raw((n - head + 1) // 2).astype("<u8", copy=False).view("<u4")
+        np.less(words[:n - head], limit, out=down[head:])
+        carry = int(words[-1]) if words.size > n - head else None
+        return down
 
     deficit = np.full(size, k, dtype=np.int32)
     successes = 0
@@ -433,23 +429,20 @@ def _race_batch(q: float, k: int, size: int, seed: int, index: int, step_cap: in
     while deficit.size and steps_taken < step_cap:
         span = min(_SLAB, step_cap - steps_taken)
         steps_taken += span
-        alive = np.empty(deficit.size, dtype=bool)
-        for start in range(0, deficit.size, rows):
-            d = deficit[start:start + rows]
-            steps = down[:d.size * span]
-            fill(steps)
-            # positions and lows stay within +-_SLAB, so int8 holds them
-            pos = np.zeros(d.size, dtype=np.int8)
-            low = np.full(d.size, _SLAB, dtype=np.int8)
-            for byte in np.packbits(steps.reshape(d.size, span), axis=1).T:
-                np.minimum(low, pos + np.take(_LOW, byte), out=low)
-                pos += np.take(_NET, byte)
-            hit = low <= -d
-            successes += int(hit.sum())
-            d += pos - (-span % 8)  # less the pad bits' up-steps
-            np.logical_and(~hit, d <= step_cap - steps_taken, out=alive[start:start + d.size])
-        if not alive.all():
-            deficit = deficit[alive]
+        packed = np.empty((deficit.size, -(-span // 8)), dtype=np.uint8)
+        for start in range(0, deficit.size, _PIECE):
+            n = min(_PIECE, deficit.size - start)
+            packed[start:start + n] = np.packbits(fill(n * span).reshape(n, span), axis=1)
+        # positions and lows stay within +-_SLAB, so int8 holds them
+        pos = np.zeros(deficit.size, dtype=np.int8)
+        low = np.full(deficit.size, _SLAB, dtype=np.int8)
+        for byte in packed.T:
+            np.minimum(low, pos + np.take(_LOW, byte), out=low)
+            pos += np.take(_NET, byte)
+        hit = low <= -deficit
+        successes += int(hit.sum())
+        deficit += pos - (-span % 8)  # less the pad bits' up-steps
+        deficit = deficit[~hit & (deficit <= step_cap - steps_taken)]
     return successes
 
 

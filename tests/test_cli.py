@@ -320,6 +320,23 @@ class TestSimulateCommand:
             "fork_rate", "fork_episode_rate", "multi_discovery_window_rate", "tail_frequency"]
         assert rows[1]["empirical"] == rows[0]["empirical"]
 
+    @pytest.mark.parametrize("delay", [1e-6, 1e-300])
+    def test_reports_on_short_delay(self, capsys, tmp_path, delay):
+        # the window row tiles about 2e11 windows at 1e-6 s and 2e305 at
+        # 1e-300 s; it counts only the occupied ones
+        d = json.loads((resources.files("blocktime") / "scenarios" / "forkrate.json").read_text())
+        d.update(delay={"fixed": delay}, stop={"blocks": 300})
+        config = tmp_path / "short-delay.json"
+        config.write_text(json.dumps(d))
+        code, _, err = run_cli(capsys, "simulate", "--config", str(config),
+                               "--outdir", str(tmp_path), "--reports")
+        assert (code, err) == (0, "")
+        with open(tmp_path / "reports.csv", newline="") as fh:
+            rows = {r["quantity"]: r for r in csv.DictReader(fh)}
+        window = rows["multi_discovery_window_rate"]
+        assert float(window["empirical"]) == 0.0
+        assert int(window["n"]) > 1e5 / delay
+
     @pytest.mark.parametrize("overrides, quantities", [
         ({"stop": {"blocks": 1}, "delay": {"fixed": 100000.0}}, ["fork_rate"]),
         ({"stop": {"duration": 1.0}}, []),

@@ -7,6 +7,7 @@ import json
 import math
 import sys
 import threading
+import tracemalloc
 from importlib import resources
 from unittest import mock
 
@@ -224,10 +225,10 @@ class TestRaceMonteCarlo:
         # A smaller batch splits the trials into several batches; a slab that
         # is not a multiple of 8 pads the last byte of every slab, not only
         # of the final one, so the pad correction shows in the deficit.  A
-        # small piece makes every fill cross piece boundaries.  The CPU
-        # count sets the workers: several batches per worker, more workers
-        # than batches or cores, and slabs walked in short row chunks; a
-        # short switch interval interleaves the threads densely.
+        # small piece draws each slab in many pieces of a few walks, joined
+        # by the carry.  The CPU count sets the workers: several batches per
+        # worker, and more workers than batches or cores; a short switch
+        # interval interleaves the threads densely.
         floor = math.ceil(10.0 * k / (1.0 - 2.0 * q)) if q < 0.5 else 1
         step_cap = max(floor, min(300, floor + extra))
         interval = sys.getswitchinterval()
@@ -250,10 +251,10 @@ class TestRaceMonteCarlo:
     ])
     def test_float32_edges_equal_prefix_sum_reference(self, monkeypatch, q, k, estimate):
         # The reference compares float32 draws with q; the walk compares raw
-        # words with an integer limit.  Batches of 699 walks on 3 workers
-        # fill 233 rows at a time, and slabs of 21 steps leave a last span
-        # of 1 of the cap 106, so many fills have an odd length and carry a
-        # half-word into the next; pieces of 5 outputs split every fill.
+        # words with an integer limit.  Batches of 699 walks run on 3
+        # workers, and slabs of 21 steps leave a last span of 1 of the cap
+        # 106; pieces of 5 walks then fill 105 or 5 steps, an odd length,
+        # so many fills carry a half-word into the next.
         monkeypatch.setattr(M, "_BATCH", 699)
         monkeypatch.setattr(M, "_SLAB", 21)
         monkeypatch.setattr(M, "_PIECE", 5)
@@ -307,6 +308,22 @@ class TestRaceMonteCarlo:
             _race_prefix_sum_reference(0.3, 2, 3000, 5, step_cap)
         cpu_count.assert_called()
         assert len(workers) == 3
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_working_set_is_one_batch_per_worker(self, monkeypatch, workers):
+        # each worker holds one batch of 65,536 walks: its packed slab, its
+        # int32 deficits, the walk's int8 positions and lows and one
+        # piece's raw draw, about 1.7 MiB in all
+        monkeypatch.setattr(M.os, "sched_getaffinity", lambda pid: set(range(workers)),
+                            raising=False)
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            M.race_monte_carlo(0.45, 8, 3 * 65536, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start <= workers * 2 * 2**20
 
     def test_worker_failure_propagates(self, monkeypatch):
         monkeypatch.setattr(M.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -460,6 +477,18 @@ class TestMultiDiscoveryWindowRate:
         rep = M.multi_discovery_window_rate(tr)
         assert abs(rep.z) <= 3
         assert rep.analytic == an.fork_probability(1 / 600, 60.0)
+
+    def test_equals_dense_window_count(self):
+        # counting only the occupied windows gives the float of one counter
+        # per window, the mean over all nwin of them
+        tr = scenario("forkrate", stop={"blocks": 2000})
+        tau = tr.config.delay.max_delay()
+        times = np.array([b.found_at for b in tr.blocks[1:]])
+        nwin = int(times.max() // tau)
+        dense = np.bincount((times[times < nwin * tau] // tau).astype(int), minlength=nwin)
+        rep = M.multi_discovery_window_rate(tr)
+        assert (rep.empirical, rep.n) == (float(np.mean(dense >= 2)), nwin)
+        assert rep.empirical > 0
 
 
 class TestHashrateInference:
