@@ -115,11 +115,10 @@ def hashrate_inference_windows(trace: SimTrace, window: int) -> list[float]:
     deltas = trace.canonical_deltas()
     if deltas.size < window:
         raise ValueError(f"canonical chain too short for window={window}")
-    path = trace.canonical_path()
     out = []
     for i in range(deltas.size // window):
         chunk = deltas[i * window:(i + 1) * window]
-        diffs = [trace.blocks[b].difficulty for b in path[i * window + 1:(i + 1) * window + 1]]
+        diffs = [b.difficulty for b in trace.canonical[i * window + 1:(i + 1) * window + 1]]
         out.append(infer_hashrate(estimate_lambda(chunk), float(np.mean(diffs))))
     return out
 
@@ -141,6 +140,7 @@ def _propagation_window(trace: SimTrace) -> float:
 
 def _episodes_per_block(trace: SimTrace) -> tuple[float, int]:
     """Fork episodes per canonical block, and the canonical height."""
+    _require(len(trace.config.miners) >= 2, "fork rows need at least two miners")
     n = trace.canonical_height()
     _require(n >= 1, "trace has no canonical blocks")
     return len(trace.fork_episodes) / n, n

@@ -162,7 +162,7 @@ class DelayModel:
         return self.fixed if self.per_pair is None else self.per_pair[src][dst]
 
     def max_delay(self) -> float:
-        """The largest delay between two distinct nodes (0 on one node)."""
+        """The largest delay between two distinct nodes (`fixed` even on one node)."""
         if self.per_pair is None:
             return self.fixed
         return max((x for i, row in enumerate(self.per_pair)
@@ -371,13 +371,13 @@ class SimTrace:
     tip_events records every per-node tip change (reorg_depth 0 = plain
     extension) as TipEvents columns, which iterate as TipEvent rows;
     difficulty_history records each retarget as (boundary height, new
-    difficulty for the following window).  The canonical chain
-    is node 0's: the path from genesis to its final tip.  fork_episodes and
-    warnings (the clock advisories) are derived from those when it is built.
+    difficulty for the following window).  canonical (canonical[h] is node
+    0's block at height h), fork_episodes and warnings (the clock advisories)
+    are derived from those when it is built, canonical by one parent walk.
     The fork table takes one pass over the blocks: each parent's first kid
     goes into an id-indexed list, a kid list is started only for a parent
     with a second kid, the forks are sorted by first kid, and each winner is
-    the canonical path's block at the kids' height when it is one of them.
+    the canonical block at the kids' height when it is one of them.
     """
 
     config: SimConfig
@@ -386,11 +386,17 @@ class SimTrace:
     difficulty_history: list[tuple[int, float]]
     rejections: list[Rejection]
     final_tips: list[int]
+    canonical: list[Block] = field(init=False)
     fork_episodes: list[ForkEpisode] = field(init=False)
     warnings: list[ClockAdvisory] = field(init=False)
 
     def __post_init__(self):
         blocks = self.blocks
+        chain = [blocks[self.final_tips[0]]]
+        while chain[-1].parent is not None:
+            chain.append(blocks[chain[-1].parent])
+        chain.reverse()
+        self.canonical = chain
         # ids are given in pop order, so id order is found_at order (ties in
         # id order): kid lists need no sort, and a fork's first kid opens it
         first: list[Optional[int]] = [None] * len(blocks)
@@ -403,12 +409,11 @@ class SimTrace:
                 first[p] = b.id
             else:
                 forks.setdefault(p, [first[p]]).append(b.id)
-        # path[h] is the canonical block at height h; a fork's kids share one
-        path = self.canonical_path()
+        # a fork's kids share one height h; its winner is chain[h] if a kid
         self.fork_episodes = []
         for kids in sorted(forks.values(), key=itemgetter(0)):
             h = blocks[kids[0]].height
-            winner = path[h] if h < len(path) and path[h] in kids else None
+            winner = chain[h].id if h < len(chain) and chain[h].id in kids else None
             self.fork_episodes.append(ForkEpisode(blocks[kids[0]].found_at, tuple(kids), winner))
         # node i runs miner i; a node that does not mine has offset 0
         self.warnings = [ClockAdvisory(i, m.clock_offset)
@@ -421,21 +426,14 @@ class SimTrace:
 
     def canonical_path(self) -> list[int]:
         """Block ids from genesis to node 0's final tip."""
-        path = []
-        bid = self.final_tips[0]
-        while bid is not None:
-            path.append(bid)
-            bid = self.blocks[bid].parent
-        path.reverse()
-        return path
+        return [b.id for b in self.canonical]
 
     def canonical_height(self) -> int:
-        return self.blocks[self.final_tips[0]].height
+        return len(self.canonical) - 1
 
     def canonical_deltas(self) -> np.ndarray:
         """Ground-truth inter-discovery times along the canonical chain."""
-        found = np.array([self.blocks[b].found_at for b in self.canonical_path()])
-        return np.diff(found)
+        return np.diff(np.array([b.found_at for b in self.canonical]))
 
     def max_reorg_depth(self) -> int:
         return max(self.tip_events.reorg_depth, default=0)
@@ -447,7 +445,7 @@ class SimTrace:
             "canonical_height": self.canonical_height(),
             "fork_episodes": len(self.fork_episodes),
             "max_reorg_depth": self.max_reorg_depth(),
-            "final_difficulty": self.blocks[self.final_tips[0]].difficulty,
+            "final_difficulty": self.canonical[-1].difficulty,
             "rejections": len(self.rejections),
             "agreement": self.agreement(),
         }

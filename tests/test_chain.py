@@ -316,7 +316,6 @@ def _ancestors(blocks, bid):
     return out
 
 
-@settings(deadline=None, database=None)
 @given(trees_in_insertion_order())
 def test_tip_rule_on_random_trees(tree):
     """Both shapes of a TipView -- over a store fed in arrival order and
@@ -369,7 +368,6 @@ def stamped_trees(draw):
     return store
 
 
-@settings(deadline=None, database=None)
 @given(stamped_trees())
 def test_median_past_time_on_random_trees(store):
     """Every block's median-past-time, when first computed and again when
@@ -439,7 +437,6 @@ class TestRetarget:
             retarget(0.0, 0, 600, 2016)
 
 
-@settings(deadline=None, database=None)
 @given(st.floats(1e-300, 1e300), st.integers(-10**9, 10**9), st.integers(-10**9, 10**9),
        st.integers(1, 10**6))
 def test_retarget_ratio_stays_clamped(difficulty, first_ts, last_ts, interval):
@@ -522,7 +519,7 @@ def _tables(draw):
 
 class TestWriteTableJson:
     # chunks of 1 to 3 rows make most drawn tables cross chunk boundaries
-    @settings(max_examples=300, deadline=None, database=None)
+    @settings(max_examples=300)
     @given(table=_tables(), chunk=st.sampled_from([C._CHUNK, 1, 2, 3]))
     @example(table=([], []), chunk=C._CHUNK)
     @example(table=([], [[], []]), chunk=C._CHUNK)
@@ -540,7 +537,7 @@ class TestWriteTableJson:
 
     # chunks of 1 to 3 rows mix chunks of plain numbers, filled by `%`, with
     # chunks that csv.writer writes
-    @settings(max_examples=300, deadline=None, database=None)
+    @settings(max_examples=300)
     @given(table=_tables(), chunk=st.sampled_from([C._CHUNK, 1, 2, 3]))
     @example(table=(["a", "b"], [[1, 2.5], [3, 4], [None, 5], [6, 7.0], [8, True]]), chunk=2)
     @example(table=(["a"], [[None], [""], [None], [""]]), chunk=C._CHUNK)

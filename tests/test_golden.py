@@ -37,6 +37,80 @@ FORKRATE_2000 = {
     "stop": {"blocks": 2000},
 }
 
+# Per-pair delays; a fixed_skew miner 7260 s ahead, whose blocks node 0,
+# 30 s away, rejects as "future"; retargets every 8 blocks across a
+# hash-rate step, so boundary blocks land on competing branches.
+INLINE_CONFIG = {
+    "miners": [
+        {"id": 0, "share": 0.45},
+        {"id": 1, "share": 0.35, "clock_offset": -120.0},
+        {"id": 2, "share": 0.2, "strategy": {"fixed_skew": 7260.0}},
+    ],
+    "nodes": 4,
+    "delay": {"per_pair": [
+        [0.0, 90.0, 20.0, 150.0],
+        [60.0, 0.0, 200.0, 40.0],
+        [30.0, 180.0, 0.0, 75.0],
+        [120.0, 45.0, 10.0, 0.0],
+    ]},
+    "rules": {"retarget_interval": 8},
+    "initial_difficulty": 1.0,
+    "nominal_hashrate": 2**32 / 600,
+    "hashrate_steps": [[20, 3.0]],
+    "stop": {"blocks": 64},
+    "seed": 2,
+}
+
+# Node 4 hears miner 0 only after 300 s but miner 1 within 5 s, so blocks
+# built on miner 0's wait in its pending pool and one delivery releases a
+# chain of them that forks into two siblings; a fixed_skew miner 7230 s
+# ahead is rejected as "future" by node 3 (clock 60 s behind), which then
+# parks that block's child for good.  Pins the release order.
+RELEASE_CONFIG = {
+    "miners": [
+        {"id": 0, "share": 0.4},
+        {"id": 1, "share": 0.3, "clock_offset": 90.0},
+        {"id": 2, "share": 0.2, "strategy": {"fixed_skew": 7230.0}},
+        {"id": 3, "share": 0.1, "clock_offset": -60.0},
+    ],
+    "nodes": 5,
+    "delay": {"per_pair": [
+        [0.0, 10.0, 40.0, 25.0, 300.0],
+        [15.0, 0.0, 20.0, 35.0, 5.0],
+        [50.0, 8.0, 0.0, 60.0, 30.0],
+        [20.0, 45.0, 70.0, 0.0, 15.0],
+        [100.0, 12.0, 80.0, 55.0, 0.0],
+    ]},
+    "rules": {"retarget_interval": 8},
+    "initial_difficulty": 1.0,
+    "nominal_hashrate": 2**32 / 120,
+    "stop": {"blocks": 48},
+    "seed": 8,
+}
+
+# Stops on a duration, not on blocks: per-pair delays up to 500 s, a node
+# that does not mine, and a horizon that falls while blocks are still in
+# flight, so the run drains deliveries after discoveries stop.
+DURATION_CONFIG = {
+    "miners": [
+        {"id": 0, "share": 0.5},
+        {"id": 1, "share": 0.3, "clock_offset": 30.0},
+        {"id": 2, "share": 0.2},
+    ],
+    "nodes": 4,
+    "delay": {"per_pair": [
+        [0.0, 240.0, 60.0, 400.0],
+        [90.0, 0.0, 300.0, 150.0],
+        [200.0, 45.0, 0.0, 500.0],
+        [80.0, 120.0, 30.0, 0.0],
+    ]},
+    "rules": {"retarget_interval": 8},
+    "initial_difficulty": 1.0,
+    "nominal_hashrate": 2**32 / 300,
+    "stop": {"duration": 12000.0},
+    "seed": 1,
+}
+
 # name: (argv without --outdir, {file name: sha256}); a dict in argv is a
 # config, written to a file whose path takes its place
 GOLDEN = {
@@ -158,6 +232,60 @@ GOLDEN = {
             "entropy.json": "fc872ccc823be824dad00a21da4b9e8cc41874f52c399a808f63e44855a4bd8e",
         },
     ),
+    "inline-csv": (
+        ["simulate", "--config", INLINE_CONFIG],
+        {
+            "blocks.csv": "54bfcea0a5c455563d84a1126c234676ae445d2c893857c2abed178f71f7c01f",
+            "difficulty.csv": "f013fef78ab59c58c788362fd7ca3c6464a0478c68d8725e58bcc70b9bc04bf6",
+            "forks.csv": "d8cba6fe0bd0c0f62c0e1e826c9ae19d2a263abd3b9eedd75dfd4b543a1ccab5",
+            "tip_changes.csv": "50d9dec5e353c65e931501c0633f280a337ff2aad5d2769072fa78c7976bdbac",
+        },
+    ),
+    "inline-json": (
+        ["simulate", "--config", INLINE_CONFIG, "--format", "json"],
+        {
+            "blocks.json": "f4ca41f31026cf061ade78f59dba0fb2b584d2fed34f6fd82cb82dc28dae720e",
+            "difficulty.json": "c0e8b4190400dea1d49ace3d23b3ba70b98a1f6145fb87436d873fff1fa27d00",
+            "forks.json": "8e38f3bc917662d20e0fdabf0213d8eace63e22ccbcbf5ef299683f1cdd0851c",
+            "tip_changes.json": "a8b2fb6b55a301796780d84e7b3cffab1ba98c3e1897781932468a7c2316fdec",
+        },
+    ),
+    "release-csv": (
+        ["simulate", "--config", RELEASE_CONFIG],
+        {
+            "blocks.csv": "438b00cba371f4dcb3f3b0b59709fc069de2457818e5bfd5aa02ab375d553cef",
+            "difficulty.csv": "29777c27a5004b8a54b01f51977f4c1dd9ef329d6cbc30f57d43cea639624ae1",
+            "forks.csv": "3febf25bd2bbb3e3870ff98c10b0d0e71536f52ac28a3a83bbafd1b22a589833",
+            "tip_changes.csv": "8635a3ac1dfd1e134b893e09edcd558d5e9c5596d93be0ebc204b23ae8249acf",
+        },
+    ),
+    "release-json": (
+        ["simulate", "--config", RELEASE_CONFIG, "--format", "json"],
+        {
+            "blocks.json": "6bcfa385a990f8c89ed8a37c3ee539b1cf47cb2fcb706a44d56cbafab81c45ae",
+            "difficulty.json": "dcf1d7ba4156fca76e1e01cef59f3f0e6aa7601e730b8d127a57432e2a6cfa05",
+            "forks.json": "7c4f3b2aceb1ae9afd379ab4362269241f55ed23583361d9e87a5725350b9885",
+            "tip_changes.json": "947d44841646a4378f8d4664e513381dc72dfc908bd9f6101a4141aaa209f21f",
+        },
+    ),
+    "duration-csv": (
+        ["simulate", "--config", DURATION_CONFIG],
+        {
+            "blocks.csv": "e01663405db2e8355c60d46833b52135114f4a7caa487bfc12518c401fb98634",
+            "difficulty.csv": "91fcad927493920d6d0a029d1edccd3d60b131ac428b9569fc3152ab189eea20",
+            "forks.csv": "cda8718895167653eb2962656093e198132e710a471c4a239a663f00d03cae2f",
+            "tip_changes.csv": "0f61a7bc0f8e62ae5ae9e10f2b28b264962b0267dc08ec5318d548d44f1f5075",
+        },
+    ),
+    "duration-json": (
+        ["simulate", "--config", DURATION_CONFIG, "--format", "json"],
+        {
+            "blocks.json": "a9182b430ae2f89fed0341fdfdf9db58ebecae70f0b166cc034c96693351b4da",
+            "difficulty.json": "c429bbc2813815b2c527c63925de897d9923746f877d19be418bb9ab2260100a",
+            "forks.json": "598d0899041dacec9855775cfbb27fd3c8be5cd4e452270ec7c4cddd9ade32e6",
+            "tip_changes.json": "7971ddbbc9162752480bf9418278df5ae4bec71e5659b86142ab9992e0f1c7ec",
+        },
+    ),
 }
 
 
@@ -176,117 +304,12 @@ def test_output_bytes(name, tmp_path, capsys):
     assert written == digests
 
 
-# Per-pair delays; a fixed_skew miner 7260 s ahead, whose blocks node 0,
-# 30 s away, rejects as "future"; retargets every 8 blocks across a
-# hash-rate step, so boundary blocks land on competing branches.
-INLINE_CONFIG = {
-    "miners": [
-        {"id": 0, "share": 0.45},
-        {"id": 1, "share": 0.35, "clock_offset": -120.0},
-        {"id": 2, "share": 0.2, "strategy": {"fixed_skew": 7260.0}},
-    ],
-    "nodes": 4,
-    "delay": {"per_pair": [
-        [0.0, 90.0, 20.0, 150.0],
-        [60.0, 0.0, 200.0, 40.0],
-        [30.0, 180.0, 0.0, 75.0],
-        [120.0, 45.0, 10.0, 0.0],
-    ]},
-    "rules": {"retarget_interval": 8},
-    "initial_difficulty": 1.0,
-    "nominal_hashrate": 2**32 / 600,
-    "hashrate_steps": [[20, 3.0]],
-    "stop": {"blocks": 64},
-    "seed": 2,
-}
-
-INLINE_GOLDEN = {
-    "csv": {
-        "blocks.csv": "54bfcea0a5c455563d84a1126c234676ae445d2c893857c2abed178f71f7c01f",
-        "difficulty.csv": "f013fef78ab59c58c788362fd7ca3c6464a0478c68d8725e58bcc70b9bc04bf6",
-        "forks.csv": "d8cba6fe0bd0c0f62c0e1e826c9ae19d2a263abd3b9eedd75dfd4b543a1ccab5",
-        "tip_changes.csv": "50d9dec5e353c65e931501c0633f280a337ff2aad5d2769072fa78c7976bdbac",
-    },
-    "json": {
-        "blocks.json": "f4ca41f31026cf061ade78f59dba0fb2b584d2fed34f6fd82cb82dc28dae720e",
-        "difficulty.json": "c0e8b4190400dea1d49ace3d23b3ba70b98a1f6145fb87436d873fff1fa27d00",
-        "forks.json": "8e38f3bc917662d20e0fdabf0213d8eace63e22ccbcbf5ef299683f1cdd0851c",
-        "tip_changes.json": "a8b2fb6b55a301796780d84e7b3cffab1ba98c3e1897781932468a7c2316fdec",
-    },
-}
-
-
-@pytest.mark.parametrize("fmt", sorted(INLINE_GOLDEN))
-def test_inline_config_bytes(fmt, tmp_path, capsys):
-    config = tmp_path / "inline.json"
-    config.write_text(json.dumps(INLINE_CONFIG))
-    out = tmp_path / "out"
-    assert main(["simulate", "--config", str(config), "--format", fmt, "--outdir", str(out)]) == 0
-    capsys.readouterr()
-    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
-    assert written == INLINE_GOLDEN[fmt]
-
-
 def test_inline_config_reaches_its_paths():
     trace = run(SimConfig.from_dict(INLINE_CONFIG))
     assert {r.reason for r in trace.rejections} == {"future"}
     boundary = Counter(b.height for b in trace.blocks if b.height and b.height % 8 == 0)
     assert max(boundary.values()) >= 2  # rival boundary blocks at one height
     assert len(trace.difficulty_history) - 1 == sum(boundary.values())
-
-
-# Node 4 hears miner 0 only after 300 s but miner 1 within 5 s, so blocks
-# built on miner 0's wait in its pending pool and one delivery releases a
-# chain of them that forks into two siblings; a fixed_skew miner 7230 s
-# ahead is rejected as "future" by node 3 (clock 60 s behind), which then
-# parks that block's child for good.  Pins the release order.
-RELEASE_CONFIG = {
-    "miners": [
-        {"id": 0, "share": 0.4},
-        {"id": 1, "share": 0.3, "clock_offset": 90.0},
-        {"id": 2, "share": 0.2, "strategy": {"fixed_skew": 7230.0}},
-        {"id": 3, "share": 0.1, "clock_offset": -60.0},
-    ],
-    "nodes": 5,
-    "delay": {"per_pair": [
-        [0.0, 10.0, 40.0, 25.0, 300.0],
-        [15.0, 0.0, 20.0, 35.0, 5.0],
-        [50.0, 8.0, 0.0, 60.0, 30.0],
-        [20.0, 45.0, 70.0, 0.0, 15.0],
-        [100.0, 12.0, 80.0, 55.0, 0.0],
-    ]},
-    "rules": {"retarget_interval": 8},
-    "initial_difficulty": 1.0,
-    "nominal_hashrate": 2**32 / 120,
-    "stop": {"blocks": 48},
-    "seed": 8,
-}
-
-RELEASE_GOLDEN = {
-    "csv": {
-        "blocks.csv": "438b00cba371f4dcb3f3b0b59709fc069de2457818e5bfd5aa02ab375d553cef",
-        "difficulty.csv": "29777c27a5004b8a54b01f51977f4c1dd9ef329d6cbc30f57d43cea639624ae1",
-        "forks.csv": "3febf25bd2bbb3e3870ff98c10b0d0e71536f52ac28a3a83bbafd1b22a589833",
-        "tip_changes.csv": "8635a3ac1dfd1e134b893e09edcd558d5e9c5596d93be0ebc204b23ae8249acf",
-    },
-    "json": {
-        "blocks.json": "6bcfa385a990f8c89ed8a37c3ee539b1cf47cb2fcb706a44d56cbafab81c45ae",
-        "difficulty.json": "dcf1d7ba4156fca76e1e01cef59f3f0e6aa7601e730b8d127a57432e2a6cfa05",
-        "forks.json": "7c4f3b2aceb1ae9afd379ab4362269241f55ed23583361d9e87a5725350b9885",
-        "tip_changes.json": "947d44841646a4378f8d4664e513381dc72dfc908bd9f6101a4141aaa209f21f",
-    },
-}
-
-
-@pytest.mark.parametrize("fmt", sorted(RELEASE_GOLDEN))
-def test_release_config_bytes(fmt, tmp_path, capsys):
-    config = tmp_path / "release.json"
-    config.write_text(json.dumps(RELEASE_CONFIG))
-    out = tmp_path / "out"
-    assert main(["simulate", "--config", str(config), "--format", fmt, "--outdir", str(out)]) == 0
-    capsys.readouterr()
-    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
-    assert written == RELEASE_GOLDEN[fmt]
 
 
 def test_release_config_reaches_its_paths(monkeypatch):
@@ -311,56 +334,6 @@ def test_release_config_reaches_its_paths(monkeypatch):
     assert any((n, b.parent) in rejected for b in trace.blocks
                for n in range(RELEASE_CONFIG["nodes"])
                if n != b.miner)
-
-
-# Stops on a duration, not on blocks: per-pair delays up to 500 s, a node
-# that does not mine, and a horizon that falls while blocks are still in
-# flight, so the run drains deliveries after discoveries stop.
-DURATION_CONFIG = {
-    "miners": [
-        {"id": 0, "share": 0.5},
-        {"id": 1, "share": 0.3, "clock_offset": 30.0},
-        {"id": 2, "share": 0.2},
-    ],
-    "nodes": 4,
-    "delay": {"per_pair": [
-        [0.0, 240.0, 60.0, 400.0],
-        [90.0, 0.0, 300.0, 150.0],
-        [200.0, 45.0, 0.0, 500.0],
-        [80.0, 120.0, 30.0, 0.0],
-    ]},
-    "rules": {"retarget_interval": 8},
-    "initial_difficulty": 1.0,
-    "nominal_hashrate": 2**32 / 300,
-    "stop": {"duration": 12000.0},
-    "seed": 1,
-}
-
-DURATION_GOLDEN = {
-    "csv": {
-        "blocks.csv": "e01663405db2e8355c60d46833b52135114f4a7caa487bfc12518c401fb98634",
-        "difficulty.csv": "91fcad927493920d6d0a029d1edccd3d60b131ac428b9569fc3152ab189eea20",
-        "forks.csv": "cda8718895167653eb2962656093e198132e710a471c4a239a663f00d03cae2f",
-        "tip_changes.csv": "0f61a7bc0f8e62ae5ae9e10f2b28b264962b0267dc08ec5318d548d44f1f5075",
-    },
-    "json": {
-        "blocks.json": "a9182b430ae2f89fed0341fdfdf9db58ebecae70f0b166cc034c96693351b4da",
-        "difficulty.json": "c429bbc2813815b2c527c63925de897d9923746f877d19be418bb9ab2260100a",
-        "forks.json": "598d0899041dacec9855775cfbb27fd3c8be5cd4e452270ec7c4cddd9ade32e6",
-        "tip_changes.json": "7971ddbbc9162752480bf9418278df5ae4bec71e5659b86142ab9992e0f1c7ec",
-    },
-}
-
-
-@pytest.mark.parametrize("fmt", sorted(DURATION_GOLDEN))
-def test_duration_config_bytes(fmt, tmp_path, capsys):
-    config = tmp_path / "duration.json"
-    config.write_text(json.dumps(DURATION_CONFIG))
-    out = tmp_path / "out"
-    assert main(["simulate", "--config", str(config), "--format", fmt, "--outdir", str(out)]) == 0
-    capsys.readouterr()
-    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
-    assert written == DURATION_GOLDEN[fmt]
 
 
 def test_duration_config_reaches_its_paths(monkeypatch):

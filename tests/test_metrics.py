@@ -215,7 +215,7 @@ class TestRaceMonteCarlo:
         est = M.race_monte_carlo(0.6, 3, 50_000, seed=4)
         assert est > 0.99
 
-    @settings(max_examples=100, deadline=None, database=None)
+    @settings(max_examples=100)
     @given(q=st.floats(0.01, 0.7), k=st.integers(1, 12), trials=st.integers(1, 3000),
            seed=st.integers(0, 2**64 - 1), extra=st.integers(0, 300),
            batch=st.sampled_from([M._BATCH, 700]), slab=st.sampled_from([M._SLAB, 21]),
@@ -544,6 +544,18 @@ class TestTraceReports:
         assert M.trace_reports(tr) == [
             M.fork_rate(tr), M.fork_episode_rate(tr), M.multi_discovery_window_rate(tr),
             M.tail_frequency(tr.canonical_deltas(), M.TAIL_THRESHOLD)]
+
+    def test_one_miner_writes_no_fork_row(self):
+        # one miner never forks, so neither fork row is compared, though the
+        # delay is positive; its discovery process still fills the window row
+        tr = sim(nodes=2, delay={"fixed": 60.0}, stop={"blocks": 3000}, seed=1)
+        assert M.trace_reports(tr) == [
+            M.multi_discovery_window_rate(tr),
+            M.tail_frequency(tr.canonical_deltas(), M.TAIL_THRESHOLD),
+            *M.exponentiality_reports(tr)]
+        for comparator in (M.fork_rate, M.fork_episode_rate):
+            with pytest.raises(M.OutsideSetting):
+                comparator(tr)
 
     def test_unread_diagonal_is_no_delay(self):
         # a node never sends to itself, so a per-pair matrix that is zero

@@ -295,7 +295,7 @@ def _paths(doc, path=()):
         yield from _paths(value, path + (key,))
 
 
-@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@settings(max_examples=300)
 @given(st.data())
 def test_from_dict_builds_a_config_or_raises_config_error(data):
     """A mutated config -- keys dropped, unknown keys added, values
@@ -811,7 +811,7 @@ def small_configs(draw):
     })
 
 
-@settings(max_examples=100, deadline=None, database=None)
+@settings(max_examples=100)
 @given(small_configs())
 def test_trace_structure(config):
     """The trace is consistent with the block DAG it records: tip events,
@@ -842,6 +842,20 @@ def test_trace_structure(config):
         assert e.reorg_depth == blocks[old].height - blocks[store.fork_point(old, e.new_tip)].height
         tips[e.node] = e.new_tip
     assert tips == trace.final_tips
+
+    # node 0's chain runs from genesis to its final tip, each block the
+    # parent's child, and every canonical reader matches a walk of parents
+    chain = trace.canonical
+    assert chain[0] is blocks[0] and chain[-1] is blocks[trace.final_tips[0]]
+    assert all(b.parent == a.id for a, b in zip(chain, chain[1:]))
+    walk = [trace.final_tips[0]]
+    while blocks[walk[-1]].parent is not None:
+        walk.append(blocks[walk[-1]].parent)
+    walk.reverse()
+    assert trace.canonical_path() == walk
+    assert trace.canonical_height() == blocks[walk[-1]].height == len(walk) - 1
+    found = [blocks[b].found_at for b in walk]
+    assert trace.canonical_deltas().tolist() == [b - a for a, b in zip(found, found[1:])]
 
     # one episode per parent with two or more children
     assert_fork_table(trace)
