@@ -17,7 +17,7 @@ import threading
 from collections import Counter
 from contextlib import suppress
 from dataclasses import dataclass, fields
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -266,25 +266,42 @@ def exponentiality_reports(trace: SimTrace) -> list[ComparisonReport]:
                              res.lag1_bound / 3, 3 * (res.lag1_autocorr / res.lag1_bound))]
 
 
-def entropy_trajectory(lam: float, grid_step: float, horizon: float) -> list[tuple[float, float, float]]:
-    """Sampled (t, p(t), entropy bits) curve on a regular grid.
+def entropy_trajectory(lam: float, grid_step: float,
+                       horizon: float) -> Iterator[tuple[float, float, float]]:
+    """Sampled (t, p(t), entropy bits) curve on the grid t = i * grid_step,
+    0 <= t <= horizon, as an iterator of rows, so a caller that streams it
+    never holds the curve.
 
-    The exact peak instant ln(2)/lam is spliced into the grid when it falls
-    inside the horizon, so the returned curve always contains its 1.0-bit
-    maximum.
+    The exact peak instant ln(2)/lam is spliced into the grid at its place
+    when it falls inside the horizon, so the curve always contains its
+    1.0-bit maximum.  The arguments are checked when it is called: a grid
+    of 2**53 or more points, where i * grid_step no longer gives distinct
+    times, raises ValueError.
     """
     if grid_step <= 0 or horizon <= 0:
         raise ValueError("grid_step and horizon must be positive")
-    ts = [i * grid_step for i in range(int(horizon / grid_step) + 1)]
+    if not horizon / grid_step < 2**53 - 1:
+        raise ValueError(f"grid_step {grid_step!r} over horizon {horizon!r} gives 2**53 or "
+                         "more points")
     peak = entropy_peak_time(lam)
-    if peak <= horizon and peak not in ts:
-        ts.append(peak)
-        ts.sort()
-    out = []
-    for t in ts:
+    return _entropy_rows(lam, grid_step, int(horizon / grid_step) + 1,
+                         peak if peak <= horizon else math.inf)
+
+
+def _entropy_rows(lam, grid_step, points, peak):
+    def row(t):
         p = discovery_cdf(lam, t)
-        out.append((t, p, bernoulli_entropy(p)))
-    return out
+        return t, p, bernoulli_entropy(p)
+
+    for i in range(points):
+        t = i * grid_step
+        if peak <= t:
+            if peak < t:
+                yield row(peak)
+            peak = math.inf
+        yield row(t)
+    if peak < math.inf:
+        yield row(peak)
 
 
 def _step_floor(q: float, k: int) -> int:

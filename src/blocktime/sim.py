@@ -52,9 +52,11 @@ from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .analytic import theta_from_difficulty
+from .analytic import DIFFICULTY_ONE_SCALE, theta_from_difficulty
 from .chain import (
     BLOCK_CSV_FIELDS,
+    RETARGET_CLAMP,
+    TARGET_SPACING,
     Block,
     ChainStore,
     ConfigError,
@@ -81,6 +83,16 @@ CLOCK_ADVISORY = "local clock differs from network time by more than 10 minutes"
 
 HONEST = "honest"
 FIXED_SKEW = "fixed_skew"
+
+# The rate rule (SimConfig._check_rates).  Floats hold every whole second
+# below CLOCK_LIMIT, so discovery times and stamps stay below it.  A draw
+# takes at most DRAW_SPAN mean intervals: NumPy's standard exponential never
+# exceeds 45 (its ziggurat tail is 7.7 - log1p(-u) for a double u < 1).
+# Retargets are taken to carry the difficulty at most RETARGET_MARGIN clamps
+# past its start or an equilibrium.
+CLOCK_LIMIT = 2.0**53
+DRAW_SPAN = 64
+RETARGET_MARGIN = 8
 
 
 @dataclass(frozen=True)
@@ -257,6 +269,76 @@ class SimConfig:
         for h, f in self.hashrate_steps:
             if h <= 0 or f <= 0:
                 raise ConfigError("hashrate steps need positive height and factor")
+        self._check_rates()
+
+    def _check_rates(self):
+        """The rate rule: refuse a config whose run could take a difficulty
+        out of theta's domain, a discovery time or a stamp to 2**53 s or
+        past, or a miner's rate to 0.
+
+        A miner draws its next discovery at rate share * h * theta(d),
+        where h is the nominal hash rate times a prefix of the steps (in
+        height order) and d the difficulty its tip prescribes.  It stamps
+        floor(time + lead), or median past time + 1, where its lead is its
+        clock_offset + skew.
+
+        Without retargets d is `initial_difficulty`.  With them, each window
+        multiplies d by at most RETARGET_CLAMP either way, pulling it toward
+        the equilibrium h * TARGET_SPACING / 2**32 of each rate h, where a
+        window takes its expected span.  A stamp is never below median past
+        time + 1, so a clock that lags the others or genesis shortens stamp
+        spans for as long as it lags: d can then climb until a window takes
+        the expected span plus the spread of the leads (0 counted).  d is
+        taken to stay within RETARGET_MARGIN clamps of the band between its
+        start and those levels.  A block stop of n adds a hard bound: node
+        0's chain below height n has at most n // interval windows, so d
+        stays within RETARGET_CLAMP ** (n // interval) of its start there.
+        A duration stop adds none.
+
+        The stop then bounds the times.  Until node 0 reaches a block stop
+        of n, its miner redraws on each move of its tip and finds a block
+        within DRAW_SPAN mean intervals unless the tip moves first; each
+        move reaches more work, taken as a new height.  So node 0 stops
+        within n * DRAW_SPAN mean intervals at its miner's slowest rate,
+        and no discovery follows.  A duration stop ends discovery at the
+        duration.  A stamp leads its time by at most the largest lead.
+        Deliveries carry no stamp of their own, so delays do not enter.
+        """
+        levels = [self.nominal_hashrate]
+        for _, factor in sorted(self.hashrate_steps):
+            levels.append(levels[-1] * factor)
+        leads = [m.clock_offset + m.skew for m in self.miners]
+        lead = max(0.0, *leads)
+        start = lo = hi = self.initial_difficulty
+        if self.retarget_enabled:
+            interval = self.rules.retarget_interval
+            span, spread = interval * TARGET_SPACING, lead - min(0.0, *leads)
+            scale, margin = interval * DIFFICULTY_ONE_SCALE, RETARGET_CLAMP ** RETARGET_MARGIN
+            lo = min(start, *(h * span / scale for h in levels)) / margin
+            hi = max(start, *(h * (span + spread) / scale for h in levels)) * margin
+            if self.stop.blocks is not None:
+                # past RETARGET_CLAMP ** 511 (2 ** 1022) the reach spans
+                # theta's whole domain either way
+                reach = RETARGET_CLAMP ** min(self.stop.blocks // interval, 511)
+                lo, hi = max(lo, start / reach), min(hi, start * reach)
+            try:
+                theta_from_difficulty(lo)
+                theta_from_difficulty(hi)
+            except ValueError as exc:
+                raise ConfigError(f"retargets can take the difficulty out of range: {exc}") from None
+        rates = [m.share * min(levels) * theta_from_difficulty(hi) for m in self.miners]
+        if not min(rates) > 0:
+            raise ConfigError("a miner's slowest rate underflows to 0 blocks/s")
+        if not lead < CLOCK_LIMIT:
+            raise ConfigError(f"a miner's clock_offset + skew of {lead!r} s passes 2**53 s")
+        if self.stop.blocks is not None:
+            if not self.stop.blocks * DRAW_SPAN <= rates[0] * (CLOCK_LIMIT - lead):
+                raise ConfigError(f"hash rate too low: node 0's miner, at its slowest rate of "
+                                  f"{rates[0]!r} blocks/s, can take past 2**53 s to find "
+                                  f"{self.stop.blocks} block(s)")
+        elif not self.stop.duration + lead < CLOCK_LIMIT:
+            raise ConfigError(f"stop duration {self.stop.duration!r} s plus a clock lead of "
+                              f"{lead!r} s passes 2**53 s")
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimConfig":

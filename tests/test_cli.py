@@ -3,13 +3,14 @@
 import csv
 import json
 import math
+import tracemalloc
 from importlib import resources
 
 import pytest
 
 from blocktime import analytic as an
 from blocktime.cli import main
-from test_sim import HUGE_INT_OVERRIDES
+from test_sim import HUGE_INT_OVERRIDES, RATE_RULE_REPROS
 
 
 def run_cli(capsys, *argv):
@@ -39,10 +40,14 @@ class TestAnalyticCommand:
         assert code == 0
         assert float(out) == pytest.approx(1.8816e-6, rel=1e-4)
 
-    def test_fork(self, capsys):
-        code, out, _ = run_cli(capsys, "analytic", "fork", "--lambda", "0.00166667", "--tau", "2")
+    @pytest.mark.parametrize("lam, tau, value", [
+        ("0.00166667", "2", 5.543e-6),
+        ("1e308", "1e308", 1.0),  # lam * tau overflows; the probability is 1
+    ], ids=["nominal", "overflow"])
+    def test_fork(self, capsys, lam, tau, value):
+        code, out, _ = run_cli(capsys, "analytic", "fork", "--lambda", lam, "--tau", tau)
         assert code == 0
-        assert float(out) == pytest.approx(5.543e-6, rel=1e-3)
+        assert float(out) == pytest.approx(value, rel=1e-3)
 
     def test_theta_target_hex(self, capsys):
         code, out, _ = run_cli(capsys, "analytic", "theta-target", "--target",
@@ -198,9 +203,28 @@ class TestEntropyCommand:
             for key in ("t", "p", "entropy_bits"):
                 assert float(c[key]) == j[key]
 
-    def test_bad_step(self, capsys, tmp_path):
-        code, _, err = run_cli(capsys, "entropy", "--outdir", str(tmp_path), "--step", "0")
+    # a grid of 2**53 or more points is refused before a row is written
+    @pytest.mark.parametrize("step", ["0", "1e-300", "5e-324"])
+    def test_bad_step(self, capsys, tmp_path, step):
+        code, _, err = run_cli(capsys, "entropy", "--outdir", str(tmp_path / "out"),
+                               "--step", step)
         assert code == 1
+        assert "grid_step" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_curve_is_streamed(self, capsys, tmp_path):
+        # 60,001 rows (about 9 MiB as a list) go to the writer one chunk at
+        # a time
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            code, _, _ = run_cli(capsys, "entropy", "--step", "0.01", "--horizon", "600",
+                              "--outdir", str(tmp_path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak - start <= 2 * 2**20
 
     @pytest.mark.parametrize("flags, name", [
         (["--horizon", "inf"], "--horizon"),
@@ -340,7 +364,11 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("overrides, quantities", [
         ({"stop": {"blocks": 1}, "delay": {"fixed": 100000.0}}, ["fork_rate"]),
         ({"stop": {"duration": 1.0}}, []),
-    ], ids=["one-block-long-delay", "no-block"])
+        # one miner never forks: a positive delay writes no fork row
+        ({"miners": [{"id": 0, "share": 1.0}], "stop": {"blocks": 3000}},
+         ["multi_discovery_window_rate", "tail_frequency", "exponentiality_ks",
+          "exponentiality_lag1"]),
+    ], ids=["one-block-long-delay", "no-block", "one-miner"])
     def test_reports_on_short_trace(self, capsys, tmp_path, overrides, quantities):
         # rows whose setting does not hold (no window tiled, fewer than 2
         # intervals, lam*tau beyond the per-block form, no canonical block)
@@ -390,6 +418,18 @@ class TestSimulateCommand:
         assert err.startswith("error: ") and "must be a finite number" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("overrides", RATE_RULE_REPROS.values(), ids=RATE_RULE_REPROS)
+    def test_rate_rule_exits_one(self, capsys, tmp_path, overrides):
+        d = json.loads((resources.files("blocktime") / "scenarios" / "baseline.json").read_text())
+        d.update(overrides)
+        config = tmp_path / "slow.json"
+        config.write_text(json.dumps(d))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(config),
+                                 "--outdir", str(tmp_path / "out"))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_unreadable_integer_literal_exits_one(self, capsys, tmp_path):
         # json refuses a literal past the int-to-str digit limit with a hint
         # to raise the limit; the config error says what is in the file
@@ -403,10 +443,14 @@ class TestSimulateCommand:
         assert "set_int_max_str_digits" not in err
         assert not (tmp_path / "out").exists()
 
-    def test_deep_nesting_exits_one(self, capsys, tmp_path):
+    @pytest.mark.parametrize("text", [
+        '{"miners": ' + "[" * 100_000,
+        '{"miners": ' + "[" * 100_000 + "]" * 100_000 + "}",
+    ], ids=["open", "closed"])
+    def test_deep_nesting_exits_one(self, capsys, tmp_path, text):
         # json.loads raises RecursionError, not a ValueError, past its depth
         config = tmp_path / "deep.json"
-        config.write_text('{"miners": ' + "[" * 100_000)
+        config.write_text(text)
         code, out, err = run_cli(capsys, "simulate", "--config", str(config),
                                  "--outdir", str(tmp_path / "out"))
         assert (code, out) == (1, "")

@@ -128,7 +128,7 @@ class TestEntropyTrajectory:
         assert peak_rows[0][2] == pytest.approx(1.0, abs=1e-12)
 
     def test_shape_rise_then_fall(self):
-        curve = M.entropy_trajectory(1 / 600, 10.0, 3600.0)
+        curve = list(M.entropy_trajectory(1 / 600, 10.0, 3600.0))
         peak_t = an.entropy_peak_time(1 / 600)
         hs_before = [h for t, _, h in curve if t <= peak_t]
         hs_after = [h for t, _, h in curve if t >= peak_t]

@@ -729,27 +729,22 @@ class TestScenariosAndExports:
         assert tr.agreement()
         assert tr.canonical_height() == 4
 
-    def test_csv_and_json_exports_agree(self, tmp_path):
-        import csv as csvmod
-
-        tr = run(scenario("fig2"))
+    @pytest.mark.parametrize("name", ["baseline", "fig2"])
+    def test_csv_and_json_exports_agree(self, tmp_path, name):
+        """Each JSON record holds the cells of its CSV row, keyed by the
+        header and spelled the CSV way: None empty, a float by repr, an int
+        by str, a string as it is."""
+        tr = run(scenario(name))
         tr.write_csvs(tmp_path, "csv")
         tr.write_csvs(tmp_path, "json")
-        for name in ("blocks", "tip_changes", "forks", "difficulty"):
-            with open(tmp_path / f"{name}.csv", newline="") as fh:
-                csv_rows = list(csvmod.DictReader(fh))
-            with open(tmp_path / f"{name}.json") as fh:
-                json_rows = json.load(fh)
-            assert len(csv_rows) == len(json_rows)
-            for cr, jr in zip(csv_rows, json_rows):
-                for key, jval in jr.items():
-                    cval = cr[key]
-                    if jval is None:
-                        assert cval == ""
-                    elif isinstance(jval, float):
-                        assert float(cval) == jval
-                    else:
-                        assert str(jval) == cval
+        spell = lambda v: "" if v is None else repr(v) if type(v) is float else str(v)
+        for table in ("blocks", "tip_changes", "forks", "difficulty"):
+            with open(tmp_path / f"{table}.csv", newline="") as fh:
+                header, *rows = csv.reader(fh)
+            with open(tmp_path / f"{table}.json") as fh:
+                records = json.load(fh)
+            assert all(list(r) == header for r in records)
+            assert [[spell(v) for v in r.values()] for r in records] == rows
 
     def test_config_file_errors(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -907,3 +902,77 @@ def test_trace_structure(config):
         assert all(work[t] == best for t in trace.final_tips)
         if work.count(best) == 1:
             assert trace.agreement()
+
+
+# floats from the smallest subnormal to the largest finite value, the
+# edges among them
+SCALES = st.one_of(st.sampled_from([5e-324, 2.0**-32, 1.0, H600, 1.7976931348623157e308]),
+                   st.floats(-330.0, 308.0).map(lambda e: 10.0**e))
+
+
+@st.composite
+def edge_configs(draw):
+    """Config dicts across the accepted domain, edges included: hash rates,
+    difficulties and step factors from the smallest to the largest floats,
+    zero delays, 1-5 miners, skewed clocks, retargets every 2-8 blocks and
+    stops of at most 50 blocks.  The miners share one clock offset, from
+    -900 s up to the float edges, and skew their stamps within the future
+    bound, so every node accepts every block at once: a miner that node 0
+    never hears from mines on until node 0 stops, at a rate the stop does
+    not bound (a far-behind clock pins stamps at median past time + 1,
+    which every node then rejects as future)."""
+    weights = draw(st.lists(st.integers(1, 10), min_size=1, max_size=5))
+    offset = draw(st.sampled_from([0.0, -900.0, 1e15, 2.0**53, 1e300]))
+    miners = [{"id": i, "share": w / sum(weights), "clock_offset": offset,
+               "strategy": {"fixed_skew": draw(st.sampled_from([0.0, -3e5, -900.0, 7150.0]))}}
+              for i, w in enumerate(weights)]
+    return {
+        "miners": miners,
+        "nodes": len(miners),
+        "delay": {"fixed": 0.0},
+        "rules": {"retarget_interval": draw(st.integers(2, 8))},
+        "initial_difficulty": draw(SCALES),
+        "nominal_hashrate": draw(SCALES),
+        "stop": {"blocks": draw(st.integers(1, 50))},
+        "seed": draw(st.integers(0, 2**32)),
+        "retarget_enabled": draw(st.booleans()),
+        "hashrate_steps": draw(st.lists(st.tuples(st.integers(1, 60), SCALES), max_size=2)),
+    }
+
+
+@settings(max_examples=300)
+@given(edge_configs())
+def test_built_configs_run(d):
+    """The rate rule: a config is refused when it is built, or its run keeps
+    every time finite and every stamp a whole second below 2**53."""
+    try:
+        config = SimConfig.from_dict(d)
+    except ConfigError:
+        return
+    trace = run(config)
+    assert all(math.isfinite(b.found_at) for b in trace.blocks)
+    assert all(type(b.timestamp) is int and 0 <= b.timestamp < 2**53 for b in trace.blocks)
+
+
+# baseline.json overrides whose clock overflowed or whose difficulty left
+# theta's domain mid-run before the rate rule
+RATE_RULE_REPROS = {
+    "crash-at-50": {"nominal_hashrate": 1e-298, "seed": 0, "stop": {"blocks": 50}},
+    "float-stamps-at-5": {"nominal_hashrate": 1e-298, "seed": 0, "stop": {"blocks": 5}},
+    "high-difficulty": {"nominal_hashrate": 1e-300, "initial_difficulty": 1e10,
+                        "stop": {"blocks": 3}},
+    "tiny-step": {"hashrate_steps": [[2, 1e-320]], "stop": {"blocks": 5}},
+    "retarget-drift": {"nominal_hashrate": 1e-280, "retarget_enabled": True,
+                       "rules": {"retarget_interval": 2}, "stop": {"blocks": 40}},
+    "lagging-clock": {"miners": [{"id": 0, "share": 1.0, "strategy": {"fixed_skew": -1e16}}],
+                      "retarget_enabled": True, "rules": {"retarget_interval": 2},
+                      "stop": {"blocks": 50}},
+}
+
+
+@pytest.mark.parametrize("overrides", RATE_RULE_REPROS.values(), ids=RATE_RULE_REPROS)
+def test_rate_rule_refuses(overrides):
+    d = json.loads((resources.files("blocktime") / "scenarios" / "baseline.json").read_text())
+    d.update(overrides)
+    with pytest.raises(ConfigError):
+        SimConfig.from_dict(d)
