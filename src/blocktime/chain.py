@@ -7,6 +7,10 @@ median-past-time is fixed once it is stored, and the store holds no tip.
 A TipView is one participant's accepted ids and tip inside a store, and
 the only code that keeps a tip; the simulator shares one store across the
 network and each node is a TipView over it.
+Block ids are non-negative ints, which the simulator hands out densely
+(0, 1, 2, ... in discovery order).  A view's accepted ids and the store's
+median cache are buffers indexed by id, so each grows with the largest id
+it has held, not with the number of blocks: dense ids waste no slot.
 The tip rule (`TipView.accept`) is most-cumulative-work with a first-seen
 tie break, so replaying the same acceptance sequence always reproduces the
 same tip at every step.  A move always lands on the accepted block, so the
@@ -178,10 +182,19 @@ class ConsensusRules:
         return cls(**config_object(d, "rules", [f.name for f in fields(cls)], "consensus rule"))
 
 
+def _check_id(block: Block) -> None:
+    """ChainError unless the block's id is a non-negative int: ids index the
+    views' and the median cache's buffers, where -1 would read the last
+    slot."""
+    if type(block.id) is not int or block.id < 0:
+        raise ChainError(f"block id must be a non-negative int, got {spell(block.id)}")
+
+
 class ChainStore:
     """All known blocks, each extending its parent's height and work.
 
-    Insertion is parents-first: an orphan raises MissingParent and it is
+    Block ids must be non-negative ints (ChainError otherwise).  Insertion
+    is parents-first: an orphan raises MissingParent and it is
     the caller's job to buffer it until the parent shows up (the simulator
     keeps a pending pool per node for exactly that).  Single-writer: all
     mutations must come from the thread that owns the store.
@@ -192,11 +205,13 @@ class ChainStore:
             raise ChainError("genesis must have height 0 and no parent")
         if genesis.cumulative_work != genesis.difficulty:
             raise ChainError("genesis cumulative work must equal its difficulty")
+        _check_id(genesis)
         self.blocks: dict[int, Block] = {genesis.id: genesis}
         self.genesis: int = genesis.id
-        # median_past_time results by parent id: a block's ancestors never
-        # change, so neither does its median
-        self._mpt: dict[int, int] = {}
+        # median_past_time results indexed by parent id, None where not yet
+        # computed: a block's ancestors never change, so neither does its
+        # median
+        self._mpt: list[Optional[int]] = []
 
     def get(self, block_id: int) -> Block:
         try:
@@ -206,6 +221,7 @@ class ChainStore:
 
     def insert(self, block: Block) -> None:
         """Store a block that extends its parent's height and work."""
+        _check_id(block)
         if block.id in self.blocks:
             raise DuplicateBlock(f"block id {block.id} already present")
         if block.parent not in self.blocks:
@@ -236,13 +252,18 @@ class ChainStore:
 
 class TipView:
     """One participant's view of a store: the ids it has accepted (genesis
-    from the start) and the tip the tip rule chose among them."""
+    from the start) and the tip the tip rule chose among them.
+
+    `known[i]` is 1 when id i is accepted and 0 when not.  The buffer grows,
+    at least doubling, to hold the largest accepted id, and an id past its
+    end is not accepted."""
 
     __slots__ = ("store", "known", "tip")
 
     def __init__(self, store: ChainStore):
         self.store = store
-        self.known: set[int] = {store.genesis}
+        self.known = bytearray(store.genesis + 1)
+        self.known[store.genesis] = 1
         self.tip: int = store.genesis
 
     def accept(self, block_id: int) -> Optional[int]:
@@ -255,9 +276,16 @@ class TipView:
         point height blocks of the old canonical path: 0 for a plain
         extension.
         """
-        self.known.add(block_id)
-        blocks, old = self.store.blocks, self.tip
-        block = blocks[block_id]
+        blocks, old, known = self.store.blocks, self.tip, self.known
+        try:
+            block = blocks[block_id]
+        except KeyError:
+            raise UnknownBlock(f"unknown block id {block_id}") from None
+        try:
+            known[block_id] = 1
+        except IndexError:  # past the end: at least double, so growth is rare
+            known.extend(bytes(max(block_id + 1, 2 * len(known)) - len(known)))
+            known[block_id] = 1
         if block.cumulative_work <= blocks[old].cumulative_work:
             return None
         self.tip = block_id
@@ -276,8 +304,13 @@ def median_past_time(store: ChainStore, parent_id: int) -> int:
     cached in the store, so each parent is computed once.
     """
     cache = store._mpt
-    mpt = cache.get(parent_id)
-    if mpt is not None:
+    try:
+        mpt = cache[parent_id]
+    except IndexError:  # past the end: not computed yet
+        mpt = None
+    # a negative id would read from the end; the store holds none, so get
+    # raises UnknownBlock for it
+    if mpt is not None and parent_id >= 0:
         return mpt
     b = store.get(parent_id)
     stamps = []
@@ -287,6 +320,8 @@ def median_past_time(store: ChainStore, parent_id: int) -> int:
             break
         b = store.blocks[b.parent]
     stamps.sort()
+    if parent_id >= len(cache):
+        cache.extend([None] * (parent_id + 1 - len(cache)))
     mpt = cache[parent_id] = stamps[(len(stamps) - 1) // 2]
     return mpt
 

@@ -705,9 +705,13 @@ class _Engine:
     def handle_deliver(self, now: float, node_idx: int, block_id: int) -> None:
         node = self.nodes[node_idx]
         block = self.blocks[block_id]
-        pending = node.pending
-        if block.parent not in node.known:
-            pending.setdefault(block.parent, []).append(block)
+        pending, parent = node.pending, block.parent
+        try:
+            orphan = not node.known[parent]
+        except IndexError:  # past the end of the buffer: not accepted
+            orphan = True
+        if orphan:
+            pending.setdefault(parent, []).append(block)
             return
         store, clock = self.store, now + node.clock_offset
         moved = False

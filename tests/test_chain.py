@@ -84,6 +84,15 @@ class TestMedianPastTime:
         store = ChainStore(make_genesis(1.0))
         with pytest.raises(UnknownBlock):
             median_past_time(store, 999)
+        # the store takes no negative id, and a negative id does not read a
+        # cached median from the end of the cache
+        store, tip = chain_of([100, 200, 300])
+        assert median_past_time(store, tip.id) == 100
+        with pytest.raises(ChainError):
+            store.insert(replace(child(tip, 4, 400), id=-1))
+        for bid in (-1, -tip.id - 1, tip.id + 1):
+            with pytest.raises(UnknownBlock, match=f"^unknown block id {bid}$"):
+                median_past_time(store, bid)
 
 
 class TestValidateTimestamp:
@@ -193,6 +202,17 @@ class TestInsertAndTip:
             with pytest.raises(ChainError, match="^genesis must have height 0 and no parent$"):
                 ChainStore(genesis)
 
+    @pytest.mark.parametrize("bid", [-1, 2.0, 2.5, "2", True, None])
+    def test_bad_id(self, bid):
+        # ids index each view's buffer and the median cache
+        store, (a, *_ ) = fig2_store()
+        store.insert(a)
+        with pytest.raises(ChainError, match="^block id must be a non-negative int, got "):
+            store.insert(replace(child(a, 2, 20), id=bid))
+        assert list(store.blocks) == [0, a.id]
+        with pytest.raises(ChainError, match="^block id must be a non-negative int, got "):
+            ChainStore(replace(make_genesis(1.0), id=bid))
+
     def test_zero_difficulty(self):
         store, _ = fig2_store()
         with pytest.raises(ChainError, match="^block difficulty must be positive$"):
@@ -252,11 +272,39 @@ class TestInsertAndTip:
         assert after[:len(before) - k] + [c.id, d.id] == after
 
 
+def accepted_ids(view):
+    """The ids whose byte is set in the view's buffer; every byte is 0 or 1."""
+    assert set(view.known) <= {0, 1}
+    return {i for i, byte in enumerate(view.known) if byte}
+
+
 class TestTipView:
     def test_starts_at_genesis(self):
         store, _ = fig2_store()
         view = TipView(store)
-        assert view.known == {0} and view.tip == 0
+        assert accepted_ids(view) == {0} and view.tip == 0
+
+    def test_unknown_ids_raise_and_change_nothing(self):
+        store, (a, *_) = fig2_store()
+        store.insert(a)
+        view = TipView(store)
+        view.accept(a.id)
+        for bid in (-1, -2, a.id + 1, 999):
+            with pytest.raises(UnknownBlock, match=f"^unknown block id {bid}$"):
+                view.accept(bid)
+            assert accepted_ids(view) == {0, a.id} and view.tip == a.id
+
+    def test_buffer_grows_past_its_end(self):
+        # a store fed out of id order: an id past the buffer's end is not
+        # accepted, and accepting it grows the buffer
+        g = make_genesis(1.0)
+        store = ChainStore(g)
+        far = child(g, 5000, 10)
+        store.insert(far)
+        view = TipView(store)
+        assert len(view.known) <= far.id
+        assert view.accept(far.id) == 0
+        assert accepted_ids(view) == {0, far.id}
 
     def test_accept_grows_known_and_follows_the_tip_rule(self):
         # fig2 order A, B, C', C, D on a store that holds every block: C
@@ -266,9 +314,9 @@ class TestTipView:
             store.insert(blk)
         view = TipView(store)
         for blk, depth, tip in zip((a, b, c2, c, d), (0, 0, 0, None, 1), (a, b, c2, c2, d)):
-            known = view.known | {blk.id}
+            known = accepted_ids(view) | {blk.id}
             assert view.accept(blk.id) == depth
-            assert view.known == known
+            assert accepted_ids(view) == known
             assert view.tip == tip.id
 
     def test_views_of_one_store_are_independent(self):
@@ -284,7 +332,7 @@ class TestTipView:
         for bid in (a.id, b.id, c2.id, c.id):
             second.accept(bid)
         assert (first.tip, second.tip) == (c.id, c2.id)
-        assert first.known == second.known == {0, a.id, b.id, c.id, c2.id}
+        assert accepted_ids(first) == accepted_ids(second) == {0, a.id, b.id, c.id, c2.id}
 
 
 @st.composite
@@ -340,7 +388,7 @@ def test_tip_rule_on_random_trees(tree):
         depth = arrive(store, view, blocks[bid])
         assert node.accept(bid) == depth
         accepted.append(bid)
-        assert view.known == node.known == set(accepted)
+        assert accepted_ids(view) == accepted_ids(node) == set(accepted)
         best = max(work[i] for i in accepted)
         assert view.tip == node.tip == next(i for i in accepted if work[i] == best)
         assert (depth is None) == (work[bid] <= work[old])
@@ -381,7 +429,7 @@ def test_median_past_time_on_random_trees(store):
     }
     for bid in blocks:
         assert median_past_time(store, bid) == expected[bid]
-    assert store._mpt == expected
+    assert {bid: m for bid, m in enumerate(store._mpt) if m is not None} == expected
     for bid in blocks:
         assert median_past_time(store, bid) == expected[bid]
 

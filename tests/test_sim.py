@@ -12,6 +12,7 @@ from collections import Counter
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -587,6 +588,30 @@ class TestMemoryPerBlock:
         assert len(events) == n
         assert (held - start) / n <= 32
 
+    def test_relay_run_peak(self):
+        # perfbench's relay_fanout shape (32 nodes, 8 mining, per-pair
+        # delays) cut to about 1,000 blocks: the peak is about 1,150 B a
+        # block, 768 of them the 32 nodes' tip events; with an id set per
+        # node and the median cache in a dict it was about 2,180
+        rng = np.random.default_rng(1)
+        weights = rng.uniform(0.5, 1.5, 8)
+        offsets = rng.uniform(-300.0, 300.0, 8)
+        delays = np.exp(rng.uniform(math.log(0.2), math.log(30.0), (32, 32)))
+        np.fill_diagonal(delays, 0.0)
+        config = cfg(miners=[{"id": i, "share": s, "clock_offset": o} for i, (s, o)
+                             in enumerate(zip((weights / weights.sum()).tolist(), offsets.tolist()))],
+                     nodes=32, delay={"per_pair": delays.tolist()}, stop={"blocks": 1000},
+                     seed=1, retarget_enabled=True)
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            trace = run(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(trace.blocks) > 1000
+        assert (peak - start) / (len(trace.blocks) - 1) < 1600
+
     def test_block_is_slotted(self):
         block = make_genesis(1.0)
         assert not hasattr(block, "__dict__")
@@ -875,8 +900,10 @@ def test_trace_structure(config):
             descendants.update(kids)
             frontier += kids
         assert stranded == descendants
-        assert node.known | rejected | stranded == set(range(len(blocks)))
-        assert len(node.known) + len(rejected) + len(stranded) == len(blocks)
+        assert set(node.known) <= {0, 1}
+        known = {bid for bid, byte in enumerate(node.known) if byte}
+        assert known | rejected | stranded == set(range(len(blocks)))
+        assert len(known) + len(rejected) + len(stranded) == len(blocks)
 
     # one retarget per stored boundary block, in id order, and each child
     # mines at the difficulty its parent prescribes
