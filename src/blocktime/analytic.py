@@ -54,7 +54,7 @@ def theta_from_difficulty(difficulty: float) -> float:
 def arrival_rate(hashrate: float, theta: float) -> float:
     """Block arrival rate (blocks/second) of a hash rate against success
     probability theta.  Block discovery is Poisson with this rate."""
-    if hashrate <= 0:
+    if not hashrate > 0:
         raise ValueError("hashrate must be positive")
     if not 0 < theta < 1:
         raise ValueError("theta must lie strictly between 0 and 1")
@@ -63,9 +63,9 @@ def arrival_rate(hashrate: float, theta: float) -> float:
 
 def expected_trials(hashrate: float, duration: float) -> float:
     """Expected number of hash attempts in a time window."""
-    if hashrate <= 0:
+    if not hashrate > 0:
         raise ValueError("hashrate must be positive")
-    if duration < 0:
+    if not duration >= 0:
         raise ValueError("duration must be nonnegative")
     return hashrate * duration
 
@@ -76,9 +76,9 @@ def discovery_cdf(lam: float, t: float) -> float:
     p(t) = 1 - exp(-lam * t), evaluated via expm1 so small lam*t keeps
     full precision.
     """
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError("arrival rate must be positive")
-    if t < 0:
+    if not t >= 0:
         raise ValueError("t must be nonnegative")
     return -math.expm1(-lam * t)
 
@@ -100,7 +100,7 @@ def bernoulli_entropy(p: float) -> float:
 def entropy_peak_time(lam: float) -> float:
     """Time at which block-discovery entropy peaks: ln(2)/lam, the instant
     the discovery probability reaches one half."""
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError("arrival rate must be positive")
     return math.log(2.0) / lam
 
@@ -111,9 +111,9 @@ def interval_tail_probability(lam: float, threshold: float) -> float:
     Survival function exp(-lam * threshold) of the exponential interval
     distribution.
     """
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError("arrival rate must be positive")
-    if threshold < 0:
+    if not threshold >= 0:
         raise ValueError("threshold must be nonnegative")
     return math.exp(-lam * threshold)
 
@@ -125,9 +125,9 @@ def fork_probability(lam: float, tau: float) -> float:
     Written as -expm1(-x) - x*exp(-x) so that tiny windows (x ~ 1e-3)
     retain at least six significant digits instead of cancelling.
     """
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError("arrival rate must be positive")
-    if tau < 0:
+    if not tau >= 0:
         raise ValueError("tau must be nonnegative")
     x = lam * tau
     if math.isinf(x):
@@ -175,9 +175,9 @@ def fork_episodes_per_block(share: float, lam: float, tau: float) -> float:
     """
     if not 0 < share < 1:
         raise ValueError("share must lie strictly between 0 and 1")
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError("arrival rate must be positive")
-    if tau < 0:
+    if not tau >= 0:
         raise ValueError("tau must be nonnegative")
     x = lam * tau
     if x > FORK_EPISODES_MAX_LAMTAU:
@@ -211,8 +211,8 @@ def catchup_probability(q: float, k: int) -> float:
 def infer_hashrate(lam: float, difficulty: float) -> float:
     """Aggregate hash rate implied by an observed arrival rate at a known
     difficulty: H = lam * difficulty * 2^32."""
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError("arrival rate must be positive")
-    if difficulty <= 0:
+    if not difficulty > 0:
         raise ValueError("difficulty must be positive")
     return lam * difficulty * DIFFICULTY_ONE_SCALE

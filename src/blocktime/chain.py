@@ -182,11 +182,16 @@ class ConsensusRules:
         return cls(**config_object(d, "rules", [f.name for f in fields(cls)], "consensus rule"))
 
 
+def _valid_id(block_id) -> bool:
+    """Whether `block_id` can name a block: a non-negative int.  Ids index the
+    views' and the median cache's buffers, where -1 would read the last slot
+    and True (a bool is an int) or 1.0 (equal to 1 as a dict key) pass for 1."""
+    return type(block_id) is int and block_id >= 0
+
+
 def _check_id(block: Block) -> None:
-    """ChainError unless the block's id is a non-negative int: ids index the
-    views' and the median cache's buffers, where -1 would read the last
-    slot."""
-    if type(block.id) is not int or block.id < 0:
+    """ChainError unless the block's id is valid (`_valid_id`)."""
+    if not _valid_id(block.id):
         raise ChainError(f"block id must be a non-negative int, got {spell(block.id)}")
 
 
@@ -214,10 +219,12 @@ class ChainStore:
         self._mpt: list[Optional[int]] = []
 
     def get(self, block_id: int) -> Block:
-        try:
-            return self.blocks[block_id]
-        except KeyError:
-            raise UnknownBlock(f"unknown block id {block_id}") from None
+        """The stored block `block_id`; UnknownBlock for any other id, one
+        insert refuses included (1.0 and True equal 1 as dict keys)."""
+        block = self.blocks.get(block_id) if _valid_id(block_id) else None
+        if block is None:
+            raise UnknownBlock(f"unknown block id {spell(block_id)}")
+        return block
 
     def insert(self, block: Block) -> None:
         """Store a block that extends its parent's height and work."""
@@ -277,10 +284,9 @@ class TipView:
         extension.
         """
         blocks, old, known = self.store.blocks, self.tip, self.known
-        try:
-            block = blocks[block_id]
-        except KeyError:
-            raise UnknownBlock(f"unknown block id {block_id}") from None
+        block = blocks.get(block_id)
+        if block is None or block.id is not block_id:  # see median_past_time
+            block = self.store.get(block_id)
         try:
             known[block_id] = 1
         except IndexError:  # past the end: at least double, so growth is rare
@@ -304,15 +310,17 @@ def median_past_time(store: ChainStore, parent_id: int) -> int:
     cached in the store, so each parent is computed once.
     """
     cache = store._mpt
+    # a stored block's own id object passed insert's check; any other (1.0
+    # and True find block 1) goes through get's, which refuses what insert does
+    b = store.blocks.get(parent_id)
+    if b is None or b.id is not parent_id:
+        b = store.get(parent_id)
     try:
         mpt = cache[parent_id]
     except IndexError:  # past the end: not computed yet
         mpt = None
-    # a negative id would read from the end; the store holds none, so get
-    # raises UnknownBlock for it
-    if mpt is not None and parent_id >= 0:
+    if mpt is not None:
         return mpt
-    b = store.get(parent_id)
     stamps = []
     for _ in range(MPT_WINDOW):
         stamps.append(b.timestamp)

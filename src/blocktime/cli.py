@@ -178,13 +178,20 @@ def cmd_entropy(args) -> int:
 
 # ---- retarget-demo ----------------------------------------------------------
 
-def cmd_retarget_demo(args) -> int:
-    interval = args.interval
-    cfg = dataclasses.replace(
+def retarget_demo_config(interval: int, epochs: int, factor: float, seed: int) -> SimConfig:
+    """The retarget-demo network: the bundled retarget scenario retargeting
+    every `interval` blocks, stopped after `epochs` windows, its hash rate
+    times `factor` from height `interval`."""
+    return dataclasses.replace(
         SimConfig.from_json(_bundled_scenario("retarget")),
         rules=ConsensusRules(retarget_interval=interval),
-        stop=StopRule(blocks=args.epochs * interval),
-        seed=args.seed, hashrate_steps=[[interval, args.factor]])
+        stop=StopRule(blocks=epochs * interval),
+        seed=seed, hashrate_steps=[[interval, factor]])
+
+
+def cmd_retarget_demo(args) -> int:
+    interval = args.interval
+    cfg = retarget_demo_config(interval, args.epochs, args.factor, args.seed)
     trace = run(cfg)
     written = trace.write_csvs(args.outdir, args.format)
     print(f"retarget-demo: seed={cfg.seed} interval={interval} epochs={args.epochs} "

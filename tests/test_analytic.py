@@ -230,6 +230,27 @@ def test_rate_and_window_domain(formula, window):
         formula(1 / 600, -1.0)
 
 
+# each closed form at a point in its domain
+CLOSED_FORMS = [
+    (an.theta_from_target, (2**224,)), (an.theta_from_difficulty, (1.0,)),
+    (an.arrival_rate, (7.16e6, 2.0**-32)), (an.expected_trials, (7.16e6, 600.0)),
+    (an.discovery_cdf, (1 / 600, 600.0)), (an.bernoulli_entropy, (0.5,)),
+    (an.entropy_peak_time, (1 / 600,)), (an.interval_tail_probability, (1 / 600, 600.0)),
+    (an.fork_probability, (1 / 600, 2.0)), (an.fork_episodes_per_block, (0.5, 1 / 600, 6.0)),
+    (an.catchup_probability, (0.1, 6)), (an.infer_hashrate, (1 / 600, 1.0)),
+]
+
+
+@pytest.mark.parametrize("formula, args, i", [
+    pytest.param(f, args, i, id=f"{f.__name__}-{f.__code__.co_varnames[i]}")
+    for f, args in CLOSED_FORMS for i in range(len(args))
+])
+def test_nan_argument_raises(formula, args, i):
+    assert math.isfinite(formula(*args))
+    with pytest.raises(ValueError):
+        formula(*args[:i], math.nan, *args[i + 1:])
+
+
 class TestForkEpisodesPerBlock:
     def test_zero_window(self):
         for s in [0.1, 0.5, 0.95]:

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import re
 import statistics
 import tracemalloc
 from collections import OrderedDict
@@ -56,6 +57,11 @@ def chain_of(timestamps, difficulty=1.0, start_id=1):
     return store, parent
 
 
+# ids insert refuses (bool, float, str, negative), each equal to or spelling
+# the id of a stored block 1
+REFUSED_IDS = (True, 1.0, "1", -1)
+
+
 class TestMedianPastTime:
     def test_consecutive(self):
         store, tip = chain_of(list(range(1, 12)))
@@ -90,9 +96,11 @@ class TestMedianPastTime:
         assert median_past_time(store, tip.id) == 100
         with pytest.raises(ChainError):
             store.insert(replace(child(tip, 4, 400), id=-1))
-        for bid in (-1, -tip.id - 1, tip.id + 1):
-            with pytest.raises(UnknownBlock, match=f"^unknown block id {bid}$"):
+        cache = list(store._mpt)
+        for bid in (-tip.id - 1, tip.id + 1) + REFUSED_IDS:
+            with pytest.raises(UnknownBlock, match=f"^unknown block id {re.escape(repr(bid))}$"):
                 median_past_time(store, bid)
+            assert store._mpt == cache
 
 
 class TestValidateTimestamp:
@@ -289,8 +297,8 @@ class TestTipView:
         store.insert(a)
         view = TipView(store)
         view.accept(a.id)
-        for bid in (-1, -2, a.id + 1, 999):
-            with pytest.raises(UnknownBlock, match=f"^unknown block id {bid}$"):
+        for bid in (-2, a.id + 1, 999) + REFUSED_IDS:
+            with pytest.raises(UnknownBlock, match=f"^unknown block id {re.escape(repr(bid))}$"):
                 view.accept(bid)
             assert accepted_ids(view) == {0, a.id} and view.tip == a.id
 
@@ -458,6 +466,14 @@ class TestForkPoint:
         store, _ = fig2_store()
         with pytest.raises(UnknownBlock):
             store.fork_point(0, 404)
+        # ids insert refuses name no block, not even the int they equal
+        store.insert(child(store.get(0), 1, 10))
+        for bid in REFUSED_IDS:
+            with pytest.raises(UnknownBlock, match=f"^unknown block id {re.escape(repr(bid))}$"):
+                store.get(bid)
+            for a, b in ((bid, 0), (0, bid)):
+                with pytest.raises(UnknownBlock):
+                    store.fork_point(a, b)
 
 
 class TestRetarget:

@@ -3,13 +3,19 @@
 import csv
 import json
 import math
+import os
+import re
+import tempfile
 import tracemalloc
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blocktime import analytic as an
 from blocktime.cli import main
+from blocktime.sim import SimConfig
 from test_sim import HUGE_INT_OVERRIDES, RATE_RULE_REPROS
 
 
@@ -566,3 +572,58 @@ class TestRetargetDemo:
 
 def test_no_subcommand_is_usage_error(capsys):
     assert main([]) == 1
+
+
+# a number, a "key": value pair, and what a mutation puts in their place
+_NUMBER = rb"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?"
+_PAIR = rb'"\w+": (?:' + _NUMBER + rb"|true|false)"
+_HUGE = [b"1" + b"0" * 400, b"9" * 5001, b"1e999", b"-1e400", b"1e-400", b"4" * 40 + b".5"]
+_DUPLICATE = [b"0", b"-1", b"2.5", b"1e308", b"true", b"null", b'"7"', b"[]", b"{}"]
+_NON_UTF8 = [b"\xff", b"\xc3", b"\xed\xa0\x80", b"\xe9t\xe9", b"\x00"]
+
+
+@st.composite
+def mutated_config_text(draw):
+    """The bytes of a bundled config, mutated once: truncated, a number nested
+    in brackets (up to far past the decoder's depth), a key repeated with
+    another value, a number made huge or non-finite, or non-UTF-8 bytes put in."""
+    name = draw(st.sampled_from(["baseline", "fig2", "forkrate", "retarget"]))
+    text = (resources.files("blocktime") / "scenarios" / f"{name}.json").read_bytes()
+    kind = draw(st.sampled_from(["truncate", "nest", "duplicate", "huge", "nonfinite", "bytes"]))
+    if kind == "truncate":
+        return text[:draw(st.integers(0, len(text) - 1))]
+    if kind == "bytes":
+        at = draw(st.integers(0, len(text)))
+        return text[:at] + draw(st.sampled_from(_NON_UTF8)) + text[at:]
+    spans = [m.span() for m in re.finditer(_PAIR if kind == "duplicate" else _NUMBER, text)]
+    a, b = draw(st.sampled_from(spans))
+    if kind == "duplicate":  # json keeps the last value of a repeated key
+        key = text[a:text.index(b":", a)]
+        middle = text[a:b] + b", " + key + b": " + draw(st.sampled_from(_DUPLICATE))
+    elif kind == "nest":
+        depth = draw(st.sampled_from([1, 2, 64, 100_000]))
+        middle = b"[" * depth + text[a:b] + b"]" * depth
+    else:
+        middle = draw(st.sampled_from(_HUGE if kind == "huge" else [b"NaN", b"Infinity", b"-Infinity"]))
+    return text[:a] + middle + text[b:]
+
+
+@settings(max_examples=200)
+@given(mutated_config_text())
+def test_mutated_config_text_never_exits_2(text):
+    # exit 2 means a fault of the run; whatever the bytes, simulate either
+    # runs them (0) or refuses them (1)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "wb") as fh:
+            fh.write(text)
+        try:
+            config = SimConfig.from_json(path)
+        except ValueError:
+            config = None  # main refuses it too, and fast
+        # a run delivers each block to every node: a draw that builds with
+        # more than 2,000 deliveries would run long (forkrate, retarget, a
+        # huge node count) and is only built
+        if config is not None and config.nodes * config.stop.blocks > 2000:
+            return
+        assert main(["simulate", "--config", path, "--outdir", tmp]) in (0, 1)

@@ -22,7 +22,7 @@ from blocktime.chain import (BLOCK_CSV_FIELDS, Block, ChainStore, ConsensusRules
                              make_genesis, retarget)
 from blocktime.sim import (CLOCK_WARN_OFFSET, ConfigError, DelayModel, ForkEpisode, MinerSpec,
                            SimConfig, SimTrace, StopRule, TipEvents, run)
-from test_golden import INLINE_CONFIG
+from corpus import INLINE_CONFIG
 
 H600 = 2**32 / 600  # hash rate putting difficulty-1 arrivals at 1/600 per second
 
