@@ -2,8 +2,8 @@
 
 Everything here is a pure function of its arguments. Units and conventions:
 
-- hash rates are hashes per second, arrival rates are blocks per second,
-  durations are seconds
+- hash rates (hashes per second) and arrival rates (blocks per second) are
+  positive and finite, durations are seconds
 - difficulty is dimensionless, expressed in multiples of the minimum
   difficulty (difficulty 1 corresponds to a per-hash success probability
   of about 2^-32)
@@ -54,8 +54,8 @@ def theta_from_difficulty(difficulty: float) -> float:
 def arrival_rate(hashrate: float, theta: float) -> float:
     """Block arrival rate (blocks/second) of a hash rate against success
     probability theta.  Block discovery is Poisson with this rate."""
-    if not hashrate > 0:
-        raise ValueError("hashrate must be positive")
+    if not 0 < hashrate < math.inf:
+        raise ValueError("hashrate must be positive and finite")
     if not 0 < theta < 1:
         raise ValueError("theta must lie strictly between 0 and 1")
     return hashrate * theta
@@ -63,8 +63,8 @@ def arrival_rate(hashrate: float, theta: float) -> float:
 
 def expected_trials(hashrate: float, duration: float) -> float:
     """Expected number of hash attempts in a time window."""
-    if not hashrate > 0:
-        raise ValueError("hashrate must be positive")
+    if not 0 < hashrate < math.inf:
+        raise ValueError("hashrate must be positive and finite")
     if not duration >= 0:
         raise ValueError("duration must be nonnegative")
     return hashrate * duration
@@ -76,8 +76,8 @@ def discovery_cdf(lam: float, t: float) -> float:
     p(t) = 1 - exp(-lam * t), evaluated via expm1 so small lam*t keeps
     full precision.
     """
-    if not lam > 0:
-        raise ValueError("arrival rate must be positive")
+    if not 0 < lam < math.inf:
+        raise ValueError("arrival rate must be positive and finite")
     if not t >= 0:
         raise ValueError("t must be nonnegative")
     return -math.expm1(-lam * t)
@@ -100,8 +100,8 @@ def bernoulli_entropy(p: float) -> float:
 def entropy_peak_time(lam: float) -> float:
     """Time at which block-discovery entropy peaks: ln(2)/lam, the instant
     the discovery probability reaches one half."""
-    if not lam > 0:
-        raise ValueError("arrival rate must be positive")
+    if not 0 < lam < math.inf:
+        raise ValueError("arrival rate must be positive and finite")
     return math.log(2.0) / lam
 
 
@@ -111,8 +111,8 @@ def interval_tail_probability(lam: float, threshold: float) -> float:
     Survival function exp(-lam * threshold) of the exponential interval
     distribution.
     """
-    if not lam > 0:
-        raise ValueError("arrival rate must be positive")
+    if not 0 < lam < math.inf:
+        raise ValueError("arrival rate must be positive and finite")
     if not threshold >= 0:
         raise ValueError("threshold must be nonnegative")
     return math.exp(-lam * threshold)
@@ -125,8 +125,8 @@ def fork_probability(lam: float, tau: float) -> float:
     Written as -expm1(-x) - x*exp(-x) so that tiny windows (x ~ 1e-3)
     retain at least six significant digits instead of cancelling.
     """
-    if not lam > 0:
-        raise ValueError("arrival rate must be positive")
+    if not 0 < lam < math.inf:
+        raise ValueError("arrival rate must be positive and finite")
     if not tau >= 0:
         raise ValueError("tau must be nonnegative")
     x = lam * tau
@@ -175,8 +175,8 @@ def fork_episodes_per_block(share: float, lam: float, tau: float) -> float:
     """
     if not 0 < share < 1:
         raise ValueError("share must lie strictly between 0 and 1")
-    if not lam > 0:
-        raise ValueError("arrival rate must be positive")
+    if not 0 < lam < math.inf:
+        raise ValueError("arrival rate must be positive and finite")
     if not tau >= 0:
         raise ValueError("tau must be nonnegative")
     x = lam * tau
@@ -211,8 +211,8 @@ def catchup_probability(q: float, k: int) -> float:
 def infer_hashrate(lam: float, difficulty: float) -> float:
     """Aggregate hash rate implied by an observed arrival rate at a known
     difficulty: H = lam * difficulty * 2^32."""
-    if not lam > 0:
-        raise ValueError("arrival rate must be positive")
+    if not 0 < lam < math.inf:
+        raise ValueError("arrival rate must be positive and finite")
     if not difficulty > 0:
         raise ValueError("difficulty must be positive")
     return lam * difficulty * DIFFICULTY_ONE_SCALE

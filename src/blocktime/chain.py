@@ -177,10 +177,6 @@ class ConsensusRules:
     def __post_init__(self):
         set_fields(self, retarget_interval=whole_number(self.retarget_interval, "retarget_interval", 1))
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ConsensusRules":
-        return cls(**config_object(d, "rules", [f.name for f in fields(cls)], "consensus rule"))
-
 
 def _valid_id(block_id) -> bool:
     """Whether `block_id` can name a block: a non-negative int.  Ids index the

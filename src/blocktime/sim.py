@@ -166,10 +166,6 @@ class DelayModel:
         if any(x < 0 for x in values):
             raise ConfigError("delay must be nonnegative")
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "DelayModel":
-        return cls(**config_object(d, "delay", [f.name for f in fields(cls)]))
-
     def delay(self, src: int, dst: int) -> float:
         return self.fixed if self.per_pair is None else self.per_pair[src][dst]
 
@@ -199,10 +195,6 @@ class StopRule:
             set_fields(self, duration=finite_number(self.duration, "stop.duration"))
             if self.duration <= 0:
                 raise ConfigError("stop duration must be positive")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "StopRule":
-        return cls(**config_object(d, "stop", [f.name for f in fields(cls)]))
 
 
 @dataclass(frozen=True)
@@ -253,6 +245,8 @@ class SimConfig:
             raise ConfigError("miner ids must be unique")
         if self.nodes < len(self.miners):
             raise ConfigError("need at least one node per miner")
+        if self.nodes > 2**31:
+            raise ConfigError("nodes must be at most 2**31: a tip event stores its node as int32")
         if self.delay.per_pair is not None and len(self.delay.per_pair) != self.nodes:
             raise ConfigError("per-pair delay matrix size must match node count")
         try:
@@ -343,16 +337,20 @@ class SimConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "SimConfig":
         config_object(d, "a config", [f.name for f in fields(cls)], "config")
+
+        def section(build, value, name, kind=None):
+            return build(**config_object(value, name, [f.name for f in fields(build)], kind))
+
         try:
             miners = [MinerSpec.from_dict(m) for m in config_list(d["miners"], "miners")]
             return cls(
                 miners=miners,
                 nodes=d.get("nodes", len(miners)),
-                delay=DelayModel.from_dict(d["delay"]),
-                rules=ConsensusRules.from_dict(d.get("rules", {})),
+                delay=section(DelayModel, d["delay"], "delay"),
+                rules=section(ConsensusRules, d.get("rules", {}), "rules", "consensus rule"),
                 initial_difficulty=d["initial_difficulty"],
                 nominal_hashrate=d["nominal_hashrate"],
-                stop=StopRule.from_dict(d["stop"]),
+                stop=section(StopRule, d["stop"], "stop"),
                 seed=d["seed"],
                 retarget_enabled=d.get("retarget_enabled", True),
                 hashrate_steps=d.get("hashrate_steps", ()),
@@ -362,10 +360,13 @@ class SimConfig:
 
     @classmethod
     def from_json(cls, path) -> "SimConfig":
-        with open(path) as fh:
-            text = fh.read()
-        try:
-            d = json.loads(text)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:  # JSON text is UTF-8, whatever the locale
+            d = json.loads(data.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config is not UTF-8: byte {data[exc.start]:#04x} at offset "
+                              f"{exc.start}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from None
         except ValueError:  # json's one other refusal: int() past its digit limit

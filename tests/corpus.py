@@ -1,19 +1,26 @@
-"""The byte-identity corpus, the one pin of trace bytes: one sha256 per
-config over everything a run produces.
+"""The byte-identity corpus, the one pin of trace bytes (one sha256 per
+config over everything a run produces), and the one source of the drawn
+networks and bundled scenarios the tests run.
 
-`configs()` draws CONFIGS networks, config i from numpy's
+`configs()` draws CONFIGS networks, config i (`_draw(i)`) from numpy's
 `default_rng((2026, i))` and nothing else, so every process draws the same
 configs whatever else runs: 1-3 miners, up to 5 nodes, fixed or per-pair
 delays, skewed clocks (some past the clock advisory) and stamps (some past
 the future bound), retargets every 4 or 8 blocks, an optional hash-rate
-step, block or duration stops.  The bundled scenarios follow (BUNDLED),
-then `blocktime retarget-demo --interval 64 --epochs 3`, then three inline
-networks that reach paths the random part seldom does.  `digest(config)`
-hashes every SimTrace field, `summary()` and the files `write_files`
-writes in both formats.  tests/corpus_digests.json holds the digests of a
-tree whose output bytes are known good (numpy 2.4.6); tests/test_corpus.py
-recomputes them.  A change meant to move an output byte records them again,
-and says in CHANGES.md which moved (the recorder prints their names) and why:
+step, block or duration stops.  `_draw` also feeds test_sim.py's
+test_trace_structure at indices hypothesis picks, so a failure there
+prints the index whose `_draw` replays it.  The bundled scenarios follow
+(BUNDLED), then `blocktime retarget-demo --interval 64 --epochs 3`, then
+three inline networks that reach paths the random part seldom does.
+`scenario(name, **overrides)` is the one reader of a bundled scenario;
+`scenario_file(name)` is its file, for the tests that need its bytes.
+
+`digest(config)` hashes every SimTrace field, `summary()` and the files
+`write_files` writes in both formats.  tests/corpus_digests.json holds the
+digests of a tree whose output bytes are known good (numpy 2.4.6);
+tests/test_corpus.py recomputes them.  A change meant to move an output
+byte records them again, and says in CHANGES.md which moved (the recorder
+prints their names) and why:
 
     PYTHONPATH=src python tests/corpus.py --record [PATH]
 
@@ -148,12 +155,21 @@ def _draw(i: int) -> dict:
     }
 
 
+def scenario_file(name: str):
+    """The file of bundled scenario `name`."""
+    return resources.files("blocktime") / "scenarios" / f"{name}.json"
+
+
+def scenario(name: str, **overrides) -> dict:
+    """Bundled scenario `name` as a dict, with top-level `overrides` applied."""
+    return {**json.loads(scenario_file(name).read_bytes()), **overrides}
+
+
 def configs() -> dict[str, SimConfig]:
     """Every corpus config by name, in digest-file order."""
     out = {f"random-{i:03d}": SimConfig.from_dict(_draw(i)) for i in range(CONFIGS)}
     for name, blocks in BUNDLED:
-        d = json.loads((resources.files("blocktime") / "scenarios" / f"{name}.json").read_text())
-        out[f"{name}-{blocks}"] = SimConfig.from_dict({**d, "stop": {"blocks": blocks}})
+        out[f"{name}-{blocks}"] = SimConfig.from_dict(scenario(name, stop={"blocks": blocks}))
     out["retarget-demo-64x3"] = cli.retarget_demo_config(64, 3, 2.0, 0)
     for name, d in (("inline", INLINE_CONFIG), ("release", RELEASE_CONFIG),
                     ("duration", DURATION_CONFIG)):

@@ -15,16 +15,15 @@ measurement checks that window form itself.  See the fork-rate notes in
 the README.
 """
 
-import dataclasses
 import math
-from importlib import resources
 
 import numpy as np
 import pytest
 
 import blocktime.metrics as M
+import corpus
 from blocktime import analytic as an
-from blocktime.sim import SimConfig, StopRule, run
+from blocktime.sim import SimConfig, run
 
 H600 = 2**32 / 600
 LAM = 1 / 600
@@ -35,33 +34,29 @@ def _criterion(number, ok, detail):
     assert ok, f"criterion {number}: {detail}"
 
 
-def scenario(name):
-    return SimConfig.from_json(str(resources.files("blocktime") / "scenarios" / f"{name}.json"))
-
-
 @pytest.fixture(scope="module")
 def forkrate_trace():
-    return run(scenario("forkrate"))
+    return run(SimConfig.from_dict(corpus.scenario("forkrate")))
 
 
 @pytest.fixture(scope="module")
 def retarget_trace():
-    return run(scenario("retarget"))
+    return run(SimConfig.from_dict(corpus.scenario("retarget")))
 
 
 @pytest.fixture(scope="module")
 def fig2_trace():
-    return run(scenario("fig2"))
+    return run(SimConfig.from_dict(corpus.scenario("fig2")))
 
 
 @pytest.fixture(scope="module")
 def inference_trace():
-    return run(dataclasses.replace(scenario("baseline"), stop=StopRule(blocks=10080), seed=1))
+    return run(SimConfig.from_dict(corpus.scenario("baseline", stop={"blocks": 10080}, seed=1)))
 
 
 @pytest.fixture(scope="module")
 def expo_trace():
-    return run(dataclasses.replace(scenario("baseline"), stop=StopRule(blocks=100_000), seed=0))
+    return run(SimConfig.from_dict(corpus.scenario("baseline", stop={"blocks": 100_000}, seed=0)))
 
 
 def test_criterion_1_entropy_constants():
@@ -194,8 +189,8 @@ def test_criterion_8_consensus_rules(fig2_trace):
 
 def test_criterion_9_determinism_and_convergence(
         forkrate_trace, retarget_trace, fig2_trace, inference_trace, expo_trace, tmp_path):
-    a = run(scenario("fig2"))
-    b = run(scenario("fig2"))
+    a = run(SimConfig.from_dict(corpus.scenario("fig2")))
+    b = run(SimConfig.from_dict(corpus.scenario("fig2")))
     a.write_csvs(tmp_path / "a")
     b.write_csvs(tmp_path / "b")
     identical = all(

@@ -85,7 +85,7 @@ class TestExpectedTrials:
         with pytest.raises(ValueError):
             an.expected_trials(100, -1)
         for hashrate in (0, -1.0):
-            with pytest.raises(ValueError, match="^hashrate must be positive$"):
+            with pytest.raises(ValueError, match="^hashrate must be positive and finite$"):
                 an.expected_trials(hashrate, 600)
 
 
@@ -224,7 +224,7 @@ class TestForkProbability:
 ], ids=["discovery_cdf", "interval_tail_probability", "fork_probability"])
 def test_rate_and_window_domain(formula, window):
     for lam in (0.0, -1 / 600):
-        with pytest.raises(ValueError, match="^arrival rate must be positive$"):
+        with pytest.raises(ValueError, match="^arrival rate must be positive and finite$"):
             formula(lam, 1.0)
     with pytest.raises(ValueError, match=f"^{window} must be nonnegative$"):
         formula(1 / 600, -1.0)
@@ -249,6 +249,22 @@ def test_nan_argument_raises(formula, args, i):
     assert math.isfinite(formula(*args))
     with pytest.raises(ValueError):
         formula(*args[:i], math.nan, *args[i + 1:])
+
+
+# each closed form with a rate argument, that rate infinite; at a zero window
+# inf * 0 gave nan
+INFINITE_RATE = {
+    an.arrival_rate: (math.inf, 2.0**-32), an.expected_trials: (math.inf, 0.0),
+    an.discovery_cdf: (math.inf, 0.0), an.entropy_peak_time: (math.inf,),
+    an.interval_tail_probability: (math.inf, 0.0), an.fork_probability: (math.inf, 0.0),
+    an.fork_episodes_per_block: (0.5, math.inf, 0.0), an.infer_hashrate: (math.inf, 1.0),
+}
+
+
+@pytest.mark.parametrize("formula", INFINITE_RATE, ids=lambda f: f.__name__)
+def test_infinite_rate_raises(formula):
+    with pytest.raises(ValueError, match="^(arrival rate|hashrate) must be positive and finite$"):
+        formula(*INFINITE_RATE[formula])
 
 
 class TestForkEpisodesPerBlock:

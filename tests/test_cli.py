@@ -7,16 +7,16 @@ import os
 import re
 import tempfile
 import tracemalloc
-from importlib import resources
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import corpus
 from blocktime import analytic as an
 from blocktime.cli import main
-from blocktime.sim import SimConfig
-from test_sim import HUGE_INT_OVERRIDES, RATE_RULE_REPROS
+from blocktime.sim import ConfigError, SimConfig
+from test_sim import REFUSED, config_file
 
 
 def run_cli(capsys, *argv):
@@ -335,11 +335,8 @@ class TestSimulateCommand:
     def test_reports_per_block_fork_row(self, capsys, tmp_path):
         # two miners on their own nodes, one fixed delay: fork_episode_rate
         # accepts the trace and its row follows fork_rate's
-        d = json.loads((resources.files("blocktime") / "scenarios" / "forkrate.json").read_text())
-        d["stop"] = {"blocks": 2000}
-        config = tmp_path / "forkrate-2000.json"
-        config.write_text(json.dumps(d))
-        code, out, _ = run_cli(capsys, "simulate", "--config", str(config),
+        config = config_file(tmp_path, corpus.scenario("forkrate", stop={"blocks": 2000}))
+        code, out, _ = run_cli(capsys, "simulate", "--config", config,
                                "--outdir", str(tmp_path), "--reports")
         assert code == 0
         assert "fork_episode_rate" in out
@@ -354,11 +351,9 @@ class TestSimulateCommand:
     def test_reports_on_short_delay(self, capsys, tmp_path, delay):
         # the window row tiles about 2e11 windows at 1e-6 s and 2e305 at
         # 1e-300 s; it counts only the occupied ones
-        d = json.loads((resources.files("blocktime") / "scenarios" / "forkrate.json").read_text())
-        d.update(delay={"fixed": delay}, stop={"blocks": 300})
-        config = tmp_path / "short-delay.json"
-        config.write_text(json.dumps(d))
-        code, _, err = run_cli(capsys, "simulate", "--config", str(config),
+        config = config_file(tmp_path, corpus.scenario("forkrate", delay={"fixed": delay},
+                                                       stop={"blocks": 300}))
+        code, _, err = run_cli(capsys, "simulate", "--config", config,
                                "--outdir", str(tmp_path), "--reports")
         assert (code, err) == (0, "")
         with open(tmp_path / "reports.csv", newline="") as fh:
@@ -379,11 +374,8 @@ class TestSimulateCommand:
         # rows whose setting does not hold (no window tiled, fewer than 2
         # intervals, lam*tau beyond the per-block form, no canonical block)
         # are left out; the run still succeeds and writes reports.csv
-        d = json.loads((resources.files("blocktime") / "scenarios" / "forkrate.json").read_text())
-        d.update(overrides)
-        config = tmp_path / "short.json"
-        config.write_text(json.dumps(d))
-        code, _, err = run_cli(capsys, "simulate", "--config", str(config),
+        config = config_file(tmp_path, corpus.scenario("forkrate", **overrides))
+        code, _, err = run_cli(capsys, "simulate", "--config", config,
                                "--outdir", str(tmp_path), "--reports")
         assert (code, err) == (0, "")
         with open(tmp_path / "reports.csv", newline="") as fh:
@@ -391,116 +383,17 @@ class TestSimulateCommand:
         assert rows[0] == ["quantity", "analytic", "empirical", "n", "stderr", "z"]
         assert [r[0] for r in rows[1:]] == quantities
 
-    @pytest.mark.parametrize("key, value", [
-        ("seed", 1.7),
-        ("stop", {"blocks": 2.5}),
-        ("nominal_hashrate", math.inf),
-        ("delay", {"fixed": math.nan}),
-        ("rules", {"retarget_interval": 2.5}),
-        ("initial_difficulty", 1e308),
-        ("seed", True),
-    ], ids=["seed", "stop.blocks", "nominal_hashrate", "delay.fixed", "rules.retarget_interval",
-            "initial_difficulty", "seed-boolean"])
-    def test_bad_numbers_exit_one(self, capsys, tmp_path, key, value):
-        d = json.loads((resources.files("blocktime") / "scenarios" / "baseline.json").read_text())
-        d[key] = value
-        config = tmp_path / "bad.json"
-        config.write_text(json.dumps(d))  # writes NaN and Infinity literals
-        code, _, err = run_cli(capsys, "simulate", "--config", str(config),
-                               "--outdir", str(tmp_path))
-        assert code == 1
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert not (tmp_path / "blocks.csv").exists()
-
-    @pytest.mark.parametrize("overrides", HUGE_INT_OVERRIDES.values(), ids=HUGE_INT_OVERRIDES)
-    def test_huge_integers_exit_one(self, capsys, tmp_path, overrides):
-        d = json.loads((resources.files("blocktime") / "scenarios" / "baseline.json").read_text())
-        d.update(overrides)
-        config = tmp_path / "huge.json"
-        config.write_text(json.dumps(d))
-        code, out, err = run_cli(capsys, "simulate", "--config", str(config),
+    @pytest.mark.parametrize("config", [config for config, _ in REFUSED.values()], ids=REFUSED)
+    def test_refused_config_exits_one(self, capsys, tmp_path, config):
+        # the library refuses the file first (test_sim.py pins its message),
+        # so a config it let through never runs here
+        path = config_file(tmp_path, config)
+        with pytest.raises(ConfigError) as refused:
+            SimConfig.from_json(path)
+        code, out, err = run_cli(capsys, "simulate", "--config", path,
                                  "--outdir", str(tmp_path / "out"))
-        assert (code, out) == (1, "")
-        assert err.startswith("error: ") and "must be a finite number" in err
+        assert (code, out, err) == (1, "", f"error: {refused.value}\n")
         assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("overrides", RATE_RULE_REPROS.values(), ids=RATE_RULE_REPROS)
-    def test_rate_rule_exits_one(self, capsys, tmp_path, overrides):
-        d = json.loads((resources.files("blocktime") / "scenarios" / "baseline.json").read_text())
-        d.update(overrides)
-        config = tmp_path / "slow.json"
-        config.write_text(json.dumps(d))
-        code, out, err = run_cli(capsys, "simulate", "--config", str(config),
-                                 "--outdir", str(tmp_path / "out"))
-        assert (code, out) == (1, "")
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert not (tmp_path / "out").exists()
-
-    def test_unreadable_integer_literal_exits_one(self, capsys, tmp_path):
-        # json refuses a literal past the int-to-str digit limit with a hint
-        # to raise the limit; the config error says what is in the file
-        text = (resources.files("blocktime") / "scenarios" / "baseline.json").read_text()
-        config = tmp_path / "long.json"
-        config.write_text(text.replace('"seed": 1', '"seed": 1' + "0" * 5000))
-        code, out, err = run_cli(capsys, "simulate", "--config", str(config),
-                                 "--outdir", str(tmp_path / "out"))
-        assert (code, out) == (1, "")
-        assert err == "error: config holds an integer literal of more than 4300 digits\n"
-        assert "set_int_max_str_digits" not in err
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("text", [
-        '{"miners": ' + "[" * 100_000,
-        '{"miners": ' + "[" * 100_000 + "]" * 100_000 + "}",
-    ], ids=["open", "closed"])
-    def test_deep_nesting_exits_one(self, capsys, tmp_path, text):
-        # json.loads raises RecursionError, not a ValueError, past its depth
-        config = tmp_path / "deep.json"
-        config.write_text(text)
-        code, out, err = run_cli(capsys, "simulate", "--config", str(config),
-                                 "--outdir", str(tmp_path / "out"))
-        assert (code, out) == (1, "")
-        assert err == "error: config nests arrays or objects too deeply to decode\n"
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("config, named", [
-        (None, None),
-        (5, None),
-        (["miners"], None),
-        ({"miners": [5]}, None),
-        ({"miners": [{"id": 0, "share": 1.0, "clock_ofset": -5000}]}, None),
-        ({"retarget_enabled": "false"}, None),
-        ({"rules": 5}, "rules must be a JSON object"),
-        ({"rules": None}, "rules must be a JSON object"),
-        ({"rules": ["retarget_interval"]}, "rules must be a JSON object"),
-        ({"delay": 5}, "delay must be a JSON object"),
-        ({"stop": None}, "stop must be a JSON object"),
-        ({"miners": 5}, "miners must be a JSON array"),
-        ({"hashrate_steps": 5}, "hashrate_steps must be a JSON array"),
-        ({"hashrate_steps": [[1, 2, 3]]}, "hashrate_steps entry must be a JSON array of 2"),
-        ({"delay": {"per_pair": 5}}, "per_pair must be a JSON array"),
-        ({"delay": {"per_pair": [5]}}, "per_pair row must be a JSON array"),
-    ], ids=["null", "number", "list", "miner-number", "miner-unknown-key",
-            "retarget-enabled-string", "rules-number", "rules-null", "rules-list",
-            "delay-number", "stop-null", "miners-number", "steps-number", "step-triple",
-            "per-pair-number", "per-pair-row-number"])
-    def test_malformed_config_exits_one(self, capsys, tmp_path, config, named):
-        if isinstance(config, dict):
-            d = json.loads((resources.files("blocktime") / "scenarios" / "baseline.json")
-                           .read_text())
-            d["stop"] = {"blocks": 2100}
-            d.update(config)
-            config = d
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(config))
-        out = tmp_path / "out"
-        code, _, err = run_cli(capsys, "simulate", "--config", str(path), "--outdir", str(out))
-        assert code == 1
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert not out.exists()
-        if named is not None:
-            # the message names the key and its shape, not Python's internal text
-            assert err.startswith(f"error: {named}, got ")
 
     def test_unexpected_failure_exits_two(self, capsys, tmp_path, monkeypatch):
         def broken(cfg):
@@ -531,13 +424,6 @@ class TestSimulateCommand:
         code, _, err = run_cli(capsys, "simulate", "--config", "nosuch", "--outdir", "out")
         assert code == 1
         assert "config not found" in err
-
-    def test_invalid_config_file(self, capsys, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"miners": []}))
-        code, _, err = run_cli(capsys, "simulate", "--config", str(bad),
-                               "--outdir", str(tmp_path))
-        assert code == 1
 
 
 @pytest.mark.parametrize("argv, written", [
@@ -587,8 +473,8 @@ def mutated_config_text(draw):
     """The bytes of a bundled config, mutated once: truncated, a number nested
     in brackets (up to far past the decoder's depth), a key repeated with
     another value, a number made huge or non-finite, or non-UTF-8 bytes put in."""
-    name = draw(st.sampled_from(["baseline", "fig2", "forkrate", "retarget"]))
-    text = (resources.files("blocktime") / "scenarios" / f"{name}.json").read_bytes()
+    name = draw(st.sampled_from([n for n, _ in corpus.BUNDLED]))
+    text = corpus.scenario_file(name).read_bytes()
     kind = draw(st.sampled_from(["truncate", "nest", "duplicate", "huge", "nonfinite", "bytes"]))
     if kind == "truncate":
         return text[:draw(st.integers(0, len(text) - 1))]
@@ -619,7 +505,7 @@ def test_mutated_config_text_never_exits_2(text):
             fh.write(text)
         try:
             config = SimConfig.from_json(path)
-        except ValueError:
+        except ConfigError:
             config = None  # main refuses it too, and fast
         # a run delivers each block to every node: a draw that builds with
         # more than 2,000 deliveries would run long (forkrate, retarget, a

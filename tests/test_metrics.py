@@ -3,12 +3,10 @@
 import csv
 import dataclasses
 import itertools
-import json
 import math
 import sys
 import threading
 import tracemalloc
-from importlib import resources
 from unittest import mock
 
 import numpy as np
@@ -17,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import blocktime.metrics as M
+import corpus
 from blocktime import analytic as an
 from blocktime.sim import SimConfig, run
 
@@ -481,7 +480,7 @@ class TestMultiDiscoveryWindowRate:
     def test_equals_dense_window_count(self):
         # counting only the occupied windows gives the float of one counter
         # per window, the mean over all nwin of them
-        tr = scenario("forkrate", stop={"blocks": 2000})
+        tr = run(SimConfig.from_dict(corpus.scenario("forkrate", stop={"blocks": 2000})))
         tau = tr.config.delay.max_delay()
         times = np.array([b.found_at for b in tr.blocks[1:]])
         nwin = int(times.max() // tau)
@@ -523,8 +522,7 @@ class TestReorgHistogram:
         assert M.reorg_depth_histogram(tr) == {}
 
     def test_fig2_single_depth_one(self):
-        from importlib import resources
-        tr = run(SimConfig.from_json(str(resources.files("blocktime") / "scenarios" / "fig2.json")))
+        tr = run(SimConfig.from_dict(corpus.scenario("fig2")))
         assert M.reorg_depth_histogram(tr) == {1: 1}
 
     def test_depths_nonincreasing_in_moderate_run(self):
@@ -576,11 +574,6 @@ class TestTraceReports:
             M.trace_reports(tr)
 
 
-def scenario(name, **overrides):
-    d = json.loads((resources.files("blocktime") / "scenarios" / f"{name}.json").read_text())
-    return run(SimConfig.from_dict({**d, **overrides}))
-
-
 class IntervalTrace:
     """Stands in for a one-miner, constant-rate trace whose canonical
     intervals are `deltas`."""
@@ -599,7 +592,7 @@ class IntervalTrace:
 
 class TestExponentialityReports:
     def test_rows_on_baseline(self):
-        tr = scenario("baseline")
+        tr = run(SimConfig.from_dict(corpus.scenario("baseline")))
         res = M.exponentiality_diagnostic(tr.canonical_deltas())
         reports = M.trace_reports(tr)
         assert [r.quantity for r in reports] == [
@@ -618,8 +611,9 @@ class TestExponentialityReports:
             "exponentiality_ks", "exponentiality_lag1"]
 
     @pytest.mark.parametrize("trace, condition", [
-        (lambda: scenario("retarget"), "retargeting off"),
-        (lambda: scenario("forkrate", stop={"blocks": 2000}), "one miner, or zero delay"),
+        (lambda: run(SimConfig.from_dict(corpus.scenario("retarget"))), "retargeting off"),
+        (lambda: run(SimConfig.from_dict(corpus.scenario("forkrate", stop={"blocks": 2000}))),
+         "one miner, or zero delay"),
         (lambda: sim(hashrate_steps=[[100, 2.0]]), "constant hash rate"),
         (lambda: sim(stop={"blocks": 99}), "at least 100 intervals"),
     ], ids=["retarget", "forkrate-2000", "hashrate-steps", "short"])

@@ -10,16 +10,16 @@ installed console script:
 import json
 import re
 import shlex
-from importlib import resources
 from pathlib import Path
 
 import pytest
 
+import corpus
 from blocktime.cli import main
 from blocktime.sim import SimConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
-BASELINE = resources.files("blocktime") / "scenarios" / "baseline.json"
+BASELINE = corpus.scenario_file("baseline")
 
 
 def section(title):

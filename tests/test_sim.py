@@ -3,13 +3,12 @@
 import copy
 import csv
 import dataclasses
+import functools
 import gc
 import json
 import math
-import re
 import tracemalloc
 from collections import Counter
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -17,14 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import corpus
 from blocktime import sim
-from blocktime.chain import (BLOCK_CSV_FIELDS, Block, ChainStore, ConsensusRules, block_row,
-                             make_genesis, retarget)
+from blocktime.chain import BLOCK_CSV_FIELDS, Block, ChainStore, block_row, make_genesis, retarget
 from blocktime.sim import (CLOCK_WARN_OFFSET, ConfigError, DelayModel, ForkEpisode, MinerSpec,
                            SimConfig, SimTrace, StopRule, TipEvents, run)
-from corpus import INLINE_CONFIG
-
-H600 = 2**32 / 600  # hash rate putting difficulty-1 arrivals at 1/600 per second
+from corpus import H600, INLINE_CONFIG
 
 
 def cfg(**overrides):
@@ -53,23 +50,174 @@ def nested(depth):
         value = [value]
     return value
 
-# config overrides that set each number read as a float to HUGE
-HUGE_INT_OVERRIDES = {
-    "share": {"miners": [{"id": 0, "share": HUGE}]},
-    "clock_offset": {"miners": [{"id": 0, "share": 1.0, "clock_offset": HUGE}]},
-    "skew": {"miners": [{"id": 0, "share": 1.0, "strategy": {"fixed_skew": HUGE}}]},
-    "delay.fixed": {"delay": {"fixed": HUGE}},
-    "per_pair": {"nodes": 2, "delay": {"per_pair": [[0.0, HUGE], [1.0, 0.0]]}},
-    "initial_difficulty": {"initial_difficulty": HUGE},
-    "nominal_hashrate": {"nominal_hashrate": HUGE},
-    "stop.duration": {"stop": {"duration": HUGE}},
-    "hashrate step factor": {"hashrate_steps": [[10, HUGE]]},
+
+def config_file(directory, config) -> str:
+    """Write `config` (raw bytes, or a document as JSON) to directory/config.json;
+    return its path."""
+    path = directory / "config.json"
+    path.write_bytes(config if isinstance(config, bytes) else json.dumps(config).encode())
+    return str(path)
+
+
+baseline = functools.partial(corpus.scenario, "baseline")
+DEEP = b'{"miners": ' + b"[" * 100_000  # past the decoder's depth
+FINITE = "{} must be a finite number, got an integer beyond the float range"
+STEP_REFUSAL = "hashrate steps need positive height and factor"
+SLOW = ("hash rate too low: node 0's miner, at its slowest rate of {} blocks/s, can take past "
+        "2**53 s to find {} block(s)")
+
+# Every refused config, by id: (config, the ConfigError message).  A config is
+# a document for SimConfig.from_dict (mostly the bundled baseline with
+# overrides) or raw file bytes for SimConfig.from_json.  An id `group/name`
+# puts a row in a group, whose test below pins its message; test_refusal_messages
+# pins the rows with no group.  test_cli.py runs each row through
+# `blocktime simulate --config`, which prints that message.
+REFUSED = {
+    # numbers that are not whole, finite or numbers at all
+    "seed-fractional": (baseline(seed=1.7), "seed must be an integer, got 1.7"),
+    "stop.blocks-fractional": (baseline(stop={"blocks": 2.5}),
+                               "stop.blocks must be an integer, got 2.5"),
+    "rules.retarget_interval-fractional": (baseline(rules={"retarget_interval": 2.5}),
+                                           "retarget_interval must be an integer, got 2.5"),
+    "nominal_hashrate-inf": (baseline(nominal_hashrate=math.inf),
+                             "nominal_hashrate must be a finite number, got inf"),
+    "delay.fixed-nan": (baseline(delay={"fixed": math.nan}),
+                        "delay must be a finite number, got nan"),
+    "seed-boolean": (baseline(seed=True), "seed must be a number, got True"),
+    "seed/negative": (baseline(seed=-1), "seed must be a 64-bit unsigned integer"),
+    "seed/past-64-bits": (baseline(seed=2**64), "seed must be a 64-bit unsigned integer"),
+    # JSON integers beyond the float range, for each number read as a float
+    "huge/share": (baseline(miners=[{"id": 0, "share": HUGE}]), FINITE.format("share")),
+    "huge/clock_offset": (baseline(miners=[{"id": 0, "share": 1.0, "clock_offset": HUGE}]),
+                          FINITE.format("clock_offset")),
+    "huge/skew": (baseline(miners=[{"id": 0, "share": 1.0, "strategy": {"fixed_skew": HUGE}}]),
+                  FINITE.format("skew")),
+    "huge/delay.fixed": (baseline(delay={"fixed": HUGE}), FINITE.format("delay")),
+    "huge/per_pair": (baseline(nodes=2, delay={"per_pair": [[0.0, HUGE], [1.0, 0.0]]}),
+                      FINITE.format("delay")),
+    "huge/initial_difficulty": (baseline(initial_difficulty=HUGE),
+                                FINITE.format("initial_difficulty")),
+    "huge/nominal_hashrate": (baseline(nominal_hashrate=HUGE), FINITE.format("nominal_hashrate")),
+    "huge/stop.duration": (baseline(stop={"duration": HUGE}), FINITE.format("stop.duration")),
+    "huge/hashrate step factor": (baseline(hashrate_steps=[[10, HUGE]]),
+                                  FINITE.format("hashrate step factor")),
+    # the node count, which a tip event stores as int32
+    "nodes-1e308": (baseline(nodes=1e308),
+                    "nodes must be at most 2**31: a tip event stores its node as int32"),
+    "nodes-past-int32": (baseline(nodes=2**31 + 1),
+                         "nodes must be at most 2**31: a tip event stores its node as int32"),
+    # the section checks
+    "share-above-one": (baseline(miners=[{"id": 0, "share": 1.5}]),
+                        "miner 0: share must be in (0, 1]"),
+    "duplicate-miner-ids": (baseline(miners=[{"id": 3, "share": 0.5}, {"id": 3, "share": 0.5}],
+                                     nodes=2), "miner ids must be unique"),
+    "matrix-size": (baseline(nodes=3, delay={"per_pair": [[0.0, 1.0], [1.0, 0.0]]}),
+                    "per-pair delay matrix size must match node count"),
+    "delay/unknown-key": (baseline(delay={"fixed": 1.0, "gossip": 2.0}),
+                          "unknown delay keys: ['gossip']"),
+    "delay/neither-key": (baseline(delay={}), "delay must be {'fixed': tau} or {'per_pair': "
+                          "matrix}, got DelayModel(fixed=None, per_pair=None)"),
+    "delay/both-keys": (baseline(delay={"fixed": 1.0, "per_pair": [[0.0]]}),
+                        "delay must be {'fixed': tau} or {'per_pair': matrix}, got "
+                        "DelayModel(fixed=1.0, per_pair=[[0.0]])"),
+    "delay/negative": (baseline(delay={"fixed": -1.0}), "delay must be nonnegative"),
+    "delay/empty-matrix": (baseline(delay={"per_pair": []}),
+                           "per-pair delay matrix must be square and nonempty"),
+    "rules-interval-zero": (baseline(rules={"retarget_interval": 0}),
+                            "retarget_interval must be at least 1, got 0"),
+    "rules-bogus": (baseline(rules={"bogus": 1}), "unknown consensus rule keys: ['bogus']"),
+    "rules-mpt-window": (baseline(rules={"mpt_window": 11}),
+                         "unknown consensus rule keys: ['mpt_window']"),
+    "zero-duration": (baseline(stop={"duration": 0}), "stop duration must be positive"),
+    "zero-hashrate": (baseline(nominal_hashrate=0.0), "nominal hash rate must be positive"),
+    "step-height": (baseline(hashrate_steps=[[0, 2.0]]), STEP_REFUSAL),
+    "step-factor": (baseline(hashrate_steps=[[10, -1.0]]), STEP_REFUSAL),
+    "initial_difficulty-1e308": (baseline(initial_difficulty=1e308), "initial difficulty: "
+                                 "difficulty 1e+308 gives theta 0.0 outside (0, 1]"),
+    # the rate rule: each of these overflowed the clock or took the
+    # difficulty out of theta's domain mid-run before it
+    "rate/crash-at-50": (baseline(nominal_hashrate=1e-298, seed=0, stop={"blocks": 50}),
+                         SLOW.format(2.328306436538696e-308, 50)),
+    "rate/float-stamps-at-5": (baseline(nominal_hashrate=1e-298, seed=0, stop={"blocks": 5}),
+                               SLOW.format(2.328306436538696e-308, 5)),
+    "rate/high-difficulty": (baseline(nominal_hashrate=1e-300, initial_difficulty=1e10,
+                                      stop={"blocks": 3}), SLOW.format(2.3285e-320, 3)),
+    "rate/tiny-step": (baseline(hashrate_steps=[[2, 1e-320]], stop={"blocks": 5}),
+                       SLOW.format(1.5e-323, 5)),
+    "rate/retarget-drift": (baseline(nominal_hashrate=1e-280, retarget_enabled=True,
+                                     rules={"retarget_interval": 2}, stop={"blocks": 40}),
+                            "retargets can take the difficulty out of range: difficulty "
+                            "9.094947017729282e-13 gives theta 256.0 outside (0, 1]"),
+    "rate/lagging-clock": (baseline(miners=[{"id": 0, "share": 1.0,
+                                             "strategy": {"fixed_skew": -1e16}}],
+                                    retarget_enabled=True, rules={"retarget_interval": 2},
+                                    stop={"blocks": 50}),
+                           SLOW.format(1.4802973661668755e-18, 50)),
+    # shapes: a config, section or entry that is not a JSON object, an
+    # array that is not one, unknown or missing keys
+    "object/null": (None, "a config must be a JSON object, got None"),
+    "object/number": (5, "a config must be a JSON object, got 5"),
+    "object/list": (["miners"], "a config must be a JSON object, got ['miners']"),
+    "object/empty-list": ([], "a config must be a JSON object, got []"),
+    "object/string": ("miners", "a config must be a JSON object, got 'miners'"),
+    "missing-delay-no-miners": ({"miners": []}, "missing config key: delay"),
+    "missing-delay": ({"miners": [{"id": 0, "share": 1.0}]}, "missing config key: delay"),
+    "miner/number": (baseline(miners=[5]), "a miner must be a JSON object, got 5"),
+    "miner/unknown-key": (baseline(miners=[{"id": 0, "share": 1.0, "clock_ofset": -5000}]),
+                          "unknown miner keys: ['clock_ofset']"),
+    "miner/skew-key": (baseline(miners=[{"id": 0, "share": 1.0, "skew": 10.0}]),
+                       "unknown miner keys: ['skew']"),
+    **{f"strategy/{name}": (baseline(miners=[{"id": 0, "share": 1.0, "strategy": name}]),
+                            f"strategy must be 'honest' or {{'fixed_skew': s}}, got {name!r}")
+       for name in ("greedy", "fixed_skew")},  # the bare name gives no skew
+    **{f"retarget_enabled/{value}": (baseline(retarget_enabled=value),
+                                     f"retarget_enabled must be true or false, got {value!r}")
+       for value in ("false", 0, None)},
+    **{f"section/{key}-{kind}": (baseline(**{key: value}),
+                                 f"{key} must be a JSON object, got {value!r}")
+       for key in ("rules", "delay", "stop")
+       for kind, value in (("number", 5), ("null", None), ("list", ["retarget_interval"]))},
+    "miners-number": (baseline(miners=5), "miners must be a JSON array, got 5"),
+    "steps-number": (baseline(hashrate_steps=5), "hashrate_steps must be a JSON array, got 5"),
+    "step-triple": (baseline(hashrate_steps=[[1, 2, 3]]),
+                    "hashrate_steps entry must be a JSON array of 2, got [1, 2, 3]"),
+    "per-pair-number": (baseline(delay={"per_pair": 5}), "per_pair must be a JSON array, got 5"),
+    "per-pair-row-number": (baseline(delay={"per_pair": [5]}),
+                            "per_pair row must be a JSON array, got 5"),
+    # file contents that do not decode to a JSON document
+    "file/not-json": (b"{not json", "config is not valid JSON: Expecting property name "
+                      "enclosed in double quotes: line 1 column 2 (char 1)"),
+    "file/not-utf8": (b"\xff" + json.dumps(baseline()).encode(),
+                      "config is not UTF-8: byte 0xff at offset 0"),
+    "file/deep-open": (DEEP, "config nests arrays or objects too deeply to decode"),
+    "file/deep-closed": (DEEP + b"]" * 100_000 + b"}",
+                         "config nests arrays or objects too deeply to decode"),
+    "file/long-integer-literal": (
+        json.dumps(baseline()).replace('"seed": 1', '"seed": 1' + "0" * 5000).encode(),
+        "config holds an integer literal of more than 4300 digits"),
 }
 
 
-def scenario(name):
-    path = resources.files("blocktime") / "scenarios" / f"{name}.json"
-    return SimConfig.from_json(str(path))
+def refusals(group=""):
+    """REFUSED's rows with ids `group/<name>`, by name; by default, those with no group."""
+    return {key.rpartition("/")[2]: row for key, row in REFUSED.items()
+            if key.rpartition("/")[0] == group}
+
+
+def pins(group=""):
+    """Parametrize a test by the (config, message) rows of `group`."""
+    rows = refusals(group)
+    return pytest.mark.parametrize("config, message", rows.values(), ids=rows)
+
+
+def assert_refused(config, message, directory):
+    """from_dict refuses a document, or from_json a file of bytes, with `message`."""
+    with pytest.raises(ConfigError) as refused:
+        if isinstance(config, bytes):
+            SimConfig.from_json(config_file(directory, config))
+        else:
+            SimConfig.from_dict(config)
+    assert str(refused.value) == message
 
 
 class TestConfigValidation:
@@ -107,21 +255,10 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             cfg(stop={"blocks": 0})
 
-    def test_seed_range(self):
-        with pytest.raises(ConfigError):
-            cfg(seed=-1)
-        with pytest.raises(ConfigError):
-            cfg(seed=2**64)
-
     @pytest.mark.parametrize("difficulty", [0.0, 1e-12, 1e308])
     def test_initial_difficulty_gives_theta_in_unit_interval(self, difficulty):
         with pytest.raises(ConfigError):
             cfg(initial_difficulty=difficulty)
-
-    @pytest.mark.parametrize("value", ["false", 0, None])
-    def test_retarget_enabled_must_be_boolean(self, value):
-        with pytest.raises(ConfigError, match="retarget_enabled"):
-            cfg(retarget_enabled=value)
 
     @pytest.mark.parametrize("key, value", [
         ("miners", [{"id": 0, "share": True}]),
@@ -140,26 +277,6 @@ class TestConfigValidation:
         name = {"miners": "share"}.get(key, key)
         with pytest.raises(ConfigError, match=f"{name} must be a number"):
             cfg(**{key: value})
-
-    def test_config_must_be_an_object(self):
-        for d in (None, 5, [], "miners"):
-            with pytest.raises(ConfigError, match="JSON object"):
-                SimConfig.from_dict(d)
-
-    @pytest.mark.parametrize("value", [5, None, ["x"]])
-    def test_sections_must_be_objects(self, value):
-        for section, key in ((ConsensusRules, "rules"), (DelayModel, "delay"),
-                             (StopRule, "stop")):
-            with pytest.raises(ConfigError, match=f"^{key} must be a JSON object"):
-                section.from_dict(value)
-
-    def test_miner_entries(self):
-        with pytest.raises(ConfigError, match="JSON object"):
-            cfg(miners=[5])
-        with pytest.raises(ConfigError, match="clock_ofset"):
-            cfg(miners=[{"id": 0, "share": 1.0, "clock_ofset": -5000.0}])
-        with pytest.raises(ConfigError, match="skew"):
-            cfg(miners=[{"id": 0, "share": 1.0, "skew": 10.0}])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("field", [
@@ -199,30 +316,6 @@ class TestConfigValidation:
         with pytest.raises(error):
             build(cfg())
 
-    def test_bad_strategy(self):
-        with pytest.raises(ConfigError):
-            cfg(miners=[{"id": 0, "share": 1.0, "strategy": "greedy"}])
-        # the bare name gives no skew
-        with pytest.raises(ConfigError):
-            cfg(miners=[{"id": 0, "share": 1.0, "strategy": "fixed_skew"}])
-
-    @pytest.mark.parametrize("delay, message", [
-        ({"fixed": 1.0, "gossip": 2.0}, "unknown delay keys: ['gossip']"),
-        ({}, "delay must be {'fixed': tau} or {'per_pair': matrix}"),
-        ({"fixed": 1.0, "per_pair": [[0.0]]}, "delay must be {'fixed': tau} or {'per_pair': matrix}"),
-        ({"fixed": -1.0}, "delay must be nonnegative"),
-        ({"per_pair": []}, "per-pair delay matrix must be square and nonempty"),
-    ], ids=["unknown-key", "neither-key", "both-keys", "negative", "empty-matrix"])
-    def test_delay_messages(self, delay, message):
-        # the JSON path's messages, which the other delay tests do not pin
-        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
-            DelayModel.from_dict(delay)
-
-    @pytest.mark.parametrize("overrides", HUGE_INT_OVERRIDES.values(), ids=HUGE_INT_OVERRIDES)
-    def test_huge_integers_are_not_finite(self, overrides):
-        with pytest.raises(ConfigError, match="must be a finite number"):
-            cfg(**overrides)
-
     @pytest.mark.parametrize("overrides", [
         {"miners": UNPRINTABLE},
         {"miners": [{"id": 0, "share": 1.0, "strategy": UNPRINTABLE}]},
@@ -239,23 +332,42 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="<(int|list|DelayModel) too large to print>"):
             cfg(**overrides)
 
-    STEP_REFUSAL = "hashrate steps need positive height and factor"
+    @pins()
+    def test_refusal_messages(self, config, message, tmp_path):
+        assert_refused(config, message, tmp_path)
 
-    @pytest.mark.parametrize("build, message", [
-        (lambda: MinerSpec(0, 1.5), "miner 0: share must be in (0, 1]"),
-        (lambda: StopRule(duration=0), "stop duration must be positive"),
-        (lambda: cfg(miners=[{"id": 3, "share": 0.5}, {"id": 3, "share": 0.5}], nodes=2),
-         "miner ids must be unique"),
-        (lambda: cfg(nodes=3, delay={"per_pair": [[0.0, 1.0], [1.0, 0.0]]}),
-         "per-pair delay matrix size must match node count"),
-        (lambda: cfg(nominal_hashrate=0.0), "nominal hash rate must be positive"),
-        (lambda: cfg(hashrate_steps=[[0, 2.0]]), STEP_REFUSAL),
-        (lambda: cfg(hashrate_steps=[[10, -1.0]]), STEP_REFUSAL),
-    ], ids=["share-above-one", "zero-duration", "duplicate-miner-ids", "matrix-size",
-            "zero-hashrate", "step-height", "step-factor"])
-    def test_refusal_messages(self, build, message):
-        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
-            build()
+    @pins("huge")
+    def test_huge_integers_are_not_finite(self, config, message, tmp_path):
+        assert_refused(config, message, tmp_path)
+
+    @pins("delay")
+    def test_delay_messages(self, config, message, tmp_path):
+        assert_refused(config, message, tmp_path)
+
+    @pins("retarget_enabled")
+    def test_retarget_enabled_must_be_boolean(self, config, message, tmp_path):
+        assert_refused(config, message, tmp_path)
+
+    def test_seed_range(self, tmp_path):
+        for row in refusals("seed").values():
+            assert_refused(*row, tmp_path)
+
+    def test_config_must_be_an_object(self, tmp_path):
+        for row in refusals("object").values():
+            assert_refused(*row, tmp_path)
+
+    @pytest.mark.parametrize("kind", ["number", "null", "list"], ids=["5", "None", "value2"])
+    def test_sections_must_be_objects(self, kind, tmp_path):
+        for key in ("rules", "delay", "stop"):
+            assert_refused(*refusals("section")[f"{key}-{kind}"], tmp_path)
+
+    def test_miner_entries(self, tmp_path):
+        for row in refusals("miner").values():
+            assert_refused(*row, tmp_path)
+
+    def test_bad_strategy(self, tmp_path):
+        for row in refusals("strategy").values():
+            assert_refused(*row, tmp_path)
 
     def test_delay_model_helpers(self):
         assert DelayModel(fixed=3.0).max_delay() == 3.0
@@ -302,7 +414,7 @@ def test_from_dict_builds_a_config_or_raises_config_error(data):
     """A mutated config -- keys dropped, unknown keys added, values
     swapped for atoms of every JSON type and shape -- either builds or is
     refused with ConfigError, and nothing else.  Configs are only built,
-    never run: a valid one may ask for a huge number of nodes."""
+    never run: a valid one may ask for up to 2**31 nodes."""
     doc = copy.deepcopy(FUZZ_BASE)
     for _ in range(data.draw(st.integers(1, 4))):
         path = data.draw(st.sampled_from(list(_paths(doc))))
@@ -327,6 +439,11 @@ def test_from_dict_builds_a_config_or_raises_config_error(data):
     except ConfigError:
         return
     assert isinstance(config, SimConfig)
+
+
+@pins("rate")
+def test_rate_rule_refuses(config, message, tmp_path):
+    assert_refused(config, message, tmp_path)
 
 
 class TestSingleMiner:
@@ -364,8 +481,8 @@ class TestSingleMiner:
 
 class TestDeterminism:
     def test_identical_traces(self):
-        a = run(scenario("baseline"))
-        b = run(scenario("baseline"))
+        a = run(SimConfig.from_dict(baseline()))
+        b = run(SimConfig.from_dict(baseline()))
         assert a.blocks == b.blocks
         assert a.tip_events == b.tip_events
         assert a.fork_episodes == b.fork_episodes
@@ -484,7 +601,7 @@ def recorded_fields(trace) -> dict:
 @pytest.fixture(scope="module")
 def forkrate_2k():
     """A forkrate-like trace: two even miners 60 s apart, 2,000 blocks."""
-    return run(dataclasses.replace(scenario("forkrate"), stop=StopRule(blocks=2000)))
+    return run(SimConfig.from_dict(corpus.scenario("forkrate", stop={"blocks": 2000})))
 
 
 class TestForkTable:
@@ -663,7 +780,7 @@ class TestRetargeting:
         assert abs(hist[4032] - 1.0) < 0.05
 
     def test_hashrate_step_doubles_difficulty(self):
-        tr = run(scenario("retarget"))
+        tr = run(SimConfig.from_dict(corpus.scenario("retarget")))
         hist = dict(tr.difficulty_history)
         assert hist[4032] == pytest.approx(2.0, rel=0.10)
         epoch3 = tr.canonical_deltas()[4032:6048]
@@ -738,12 +855,12 @@ class TestGarbageCollectorPause:
 
 class TestScenariosAndExports:
     def test_bundled_scenarios_load(self):
-        for name in ("baseline", "fig2", "retarget", "forkrate"):
-            c = scenario(name)
-            assert isinstance(c, SimConfig)
+        for name, _ in corpus.BUNDLED:
+            c = SimConfig.from_json(corpus.scenario_file(name))
+            assert c == SimConfig.from_dict(corpus.scenario(name))
 
     def test_fig2_replay(self):
-        tr = run(scenario("fig2"))
+        tr = run(SimConfig.from_dict(corpus.scenario("fig2")))
         assert len(tr.fork_episodes) == 1
         ep = tr.fork_episodes[0]
         assert len(ep.blocks) == 2 and ep.winner is not None
@@ -759,7 +876,7 @@ class TestScenariosAndExports:
         """Each JSON record holds the cells of its CSV row, keyed by the
         header and spelled the CSV way: None empty, a float by repr, an int
         by str, a string as it is."""
-        tr = run(scenario(name))
+        tr = run(SimConfig.from_dict(corpus.scenario(name)))
         tr.write_csvs(tmp_path, "csv")
         tr.write_csvs(tmp_path, "json")
         spell = lambda v: "" if v is None else repr(v) if type(v) is float else str(v)
@@ -772,19 +889,8 @@ class TestScenariosAndExports:
             assert [[spell(v) for v in r.values()] for r in records] == rows
 
     def test_config_file_errors(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        with pytest.raises(ConfigError):
-            SimConfig.from_json(bad)
-        missing = tmp_path / "missing.json"
-        missing.write_text(json.dumps({"miners": [{"id": 0, "share": 1.0}]}))
-        with pytest.raises(ConfigError):
-            SimConfig.from_json(missing)
-        # the decoder recurses once per nesting level: too deep is bad input
-        deep = tmp_path / "deep.json"
-        deep.write_text('{"miners": ' + "[" * 100_000 + "]" * 100_000 + "}")
-        with pytest.raises(ConfigError, match="^config nests arrays or objects too deeply"):
-            SimConfig.from_json(deep)
+        for row in refusals("file").values():
+            assert_refused(*row, tmp_path)
 
 
 def test_tip_history_blocks_all_known():
@@ -796,47 +902,14 @@ def test_tip_history_blocks_all_known():
         assert set(ep.blocks) <= ids
 
 
-@st.composite
-def small_configs(draw):
-    """Small networks: 1-3 miners, up to 5 nodes, fixed or per-pair delays,
-    skewed clocks (some past the clock advisory) and stamps (some beyond the
-    future bound), retargets every 4 or 8 blocks, an optional hash-rate
-    step, block or duration stops."""
-    m = draw(st.integers(1, 3))
-    n = draw(st.integers(m, 5))
-    weights = draw(st.lists(st.integers(1, 4), min_size=m, max_size=m))
-    miners = []
-    for i, w in enumerate(weights):
-        miner = {"id": i, "share": w / sum(weights),
-                 "clock_offset": draw(st.sampled_from([0.0, -150.0, 90.0, -900.0]))}
-        if draw(st.booleans()):
-            miner["strategy"] = {"fixed_skew": draw(st.sampled_from([-3000.0, 7150.0, 7300.0]))}
-        miners.append(miner)
-    hops = st.sampled_from([5.0, 60.0, 240.0])
-    delay = draw(st.one_of(
-        st.builds(lambda tau: {"fixed": tau}, st.sampled_from([0.0, 20.0, 200.0])),
-        st.builds(lambda m: {"per_pair": [[0.0 if i == j else m[i][j] for j in range(n)]
-                                          for i in range(n)]},
-                  st.lists(st.lists(hops, min_size=n, max_size=n), min_size=n, max_size=n)),
-    ))
-    stop = draw(st.one_of(st.builds(lambda b: {"blocks": b}, st.integers(5, 40)),
-                          st.builds(lambda d: {"duration": d}, st.floats(3000.0, 20000.0))))
-    steps = draw(st.lists(st.tuples(st.integers(2, 20), st.sampled_from([0.5, 3.0])), max_size=1))
-    return SimConfig.from_dict({
-        "miners": miners, "nodes": n, "delay": delay,
-        "rules": {"retarget_interval": draw(st.sampled_from([4, 8]))},
-        "initial_difficulty": 1.0, "nominal_hashrate": H600, "stop": stop,
-        "seed": draw(st.integers(0, 2**32)), "retarget_enabled": draw(st.booleans()),
-        "hashrate_steps": steps,
-    })
-
-
 @settings(max_examples=100)
-@given(small_configs())
-def test_trace_structure(config):
-    """The trace is consistent with the block DAG it records: tip events,
-    fork episodes, retargets and the final agreement all follow from
-    `trace.blocks` and the consensus rules."""
+@given(st.integers(0, 2**32 - 1))
+def test_trace_structure(index):
+    """The trace of corpus config `index` (`corpus._draw`, at indices past
+    the corpus too) is consistent with the block DAG it records: tip
+    events, fork episodes, retargets and the final agreement all follow
+    from `trace.blocks` and the consensus rules."""
+    config = SimConfig.from_dict(corpus._draw(index))
     engine = sim._Engine(config)
     trace = engine.run()
     blocks = trace.blocks
@@ -979,27 +1052,3 @@ def test_built_configs_run(d):
     trace = run(config)
     assert all(math.isfinite(b.found_at) for b in trace.blocks)
     assert all(type(b.timestamp) is int and 0 <= b.timestamp < 2**53 for b in trace.blocks)
-
-
-# baseline.json overrides whose clock overflowed or whose difficulty left
-# theta's domain mid-run before the rate rule
-RATE_RULE_REPROS = {
-    "crash-at-50": {"nominal_hashrate": 1e-298, "seed": 0, "stop": {"blocks": 50}},
-    "float-stamps-at-5": {"nominal_hashrate": 1e-298, "seed": 0, "stop": {"blocks": 5}},
-    "high-difficulty": {"nominal_hashrate": 1e-300, "initial_difficulty": 1e10,
-                        "stop": {"blocks": 3}},
-    "tiny-step": {"hashrate_steps": [[2, 1e-320]], "stop": {"blocks": 5}},
-    "retarget-drift": {"nominal_hashrate": 1e-280, "retarget_enabled": True,
-                       "rules": {"retarget_interval": 2}, "stop": {"blocks": 40}},
-    "lagging-clock": {"miners": [{"id": 0, "share": 1.0, "strategy": {"fixed_skew": -1e16}}],
-                      "retarget_enabled": True, "rules": {"retarget_interval": 2},
-                      "stop": {"blocks": 50}},
-}
-
-
-@pytest.mark.parametrize("overrides", RATE_RULE_REPROS.values(), ids=RATE_RULE_REPROS)
-def test_rate_rule_refuses(overrides):
-    d = json.loads((resources.files("blocktime") / "scenarios" / "baseline.json").read_text())
-    d.update(overrides)
-    with pytest.raises(ConfigError):
-        SimConfig.from_dict(d)
